@@ -10,7 +10,8 @@
 // worth recording if the fast path is byte-identical where it overlaps.
 //
 // Flags: --json=<path> (default BENCH_scale.json), --quick (CI ladder,
-//        tops out at 10240 ranks), --reps=N,
+//        tops out at 10240 ranks; the full ladder tops out at 1048576),
+//        --reps=N,
 //        --baseline=<path> (regression gate: the top-rung speedup may lose
 //        at most a third of the stored artifact's gain, and bytes/rank may
 //        not grow past 1.25x).
@@ -160,10 +161,12 @@ int bench_main(int argc, char** argv) {
   const int reps =
       static_cast<int>(cli.get_or("reps", std::int64_t{quick ? 1 : 3}));
 
-  // The quick ladder stays CI-sized; the full ladder ends on the paper's
-  // machine-scale regime (a 100k-rank sweep point).
-  const std::vector<int> ladder = quick ? std::vector<int>{1024, 10240}
-                                        : std::vector<int>{1024, 10240, 102400};
+  // The quick ladder stays CI-sized; the full ladder climbs through the
+  // 100k-rank sweep point to a 2^20-rank machine, where the fast path's
+  // cost must be the active set plus one row descriptor per rank.
+  const std::vector<int> ladder =
+      quick ? std::vector<int>{1024, 10240}
+            : std::vector<int>{1024, 10240, 102400, 1048576};
 
   bench::print_header("perf_scale",
                       "machine-scale ladder: full event simulation vs "
@@ -262,9 +265,9 @@ int bench_main(int argc, char** argv) {
   if (const auto baseline_path = cli.get("baseline")) {
     const Baseline baseline = load_baseline(*baseline_path);
     // Gate only between runs of the same scale: a quick ladder tops out
-    // far below the baseline's 100k-rank rung, where both the speedup and
-    // the amortized footprint are structurally smaller — comparing across
-    // rungs would flag phantom regressions. CI's quick run therefore
+    // far below the baseline's machine-scale top rung, where both the
+    // speedup and the amortized footprint are structurally smaller —
+    // comparing across rungs would flag phantom regressions. CI's quick run therefore
     // skips loudly against the checked-in full-mode baseline while still
     // enforcing identity and the absolute footprint budget above.
     if (baseline.top_np != top.np) {

@@ -35,7 +35,9 @@ Cluster::Cluster(ClusterConfig config)
 void Cluster::reset(ClusterConfig config) {
   config_ = std::move(config);
   engine_.reset();
-  topo_ = net::Topology(config_.topo);
+  // Same tier shape (the common sweep case): the rank tables are reused,
+  // so reshaping costs nothing below the high-water rank count.
+  topo_.reshape(config_.topo);
   // Keep the constructor's calendar pre-sizing when reshaping larger.
   engine_.reserve_events(calendar_budget(topo_.ranks()));
   transport_.reconfigure(config_.fabric, config_.transport);
@@ -69,6 +71,35 @@ mpi::Process& Cluster::bind_process(std::size_t slot, int rank,
   IW_ASSERT(slot == processes_.size(),
             "process pool slots must be bound in order");
   return processes_.emplace(rank, engine_, transport_, trace);
+}
+
+void Cluster::clear_process_table() {
+  // Only the entries the previous run bound are non-null; the table keeps
+  // its high-water size, so switching np costs O(previous processes).
+  for (std::size_t slot = 0; slot < procs_in_use_; ++slot)
+    process_table_[static_cast<std::size_t>(processes_[slot].rank())] =
+        nullptr;
+  procs_in_use_ = 0;
+  const auto nranks = static_cast<std::size_t>(topo_.ranks());
+  if (process_table_.size() < nranks) process_table_.resize(nranks, nullptr);
+}
+
+mpi::Process& Cluster::bind_rank(int rank, const mpi::Program& program,
+                                 mpi::Trace& trace, std::size_t& offset) {
+  mpi::Process& proc = bind_process(procs_in_use_, rank, trace);
+  ++procs_in_use_;
+  process_table_[static_cast<std::size_t>(rank)] = &proc;
+  transport_.bind_rank(rank);
+  // Size the trace from the program shape (exact segment bound) so
+  // recording never reallocates mid-run.
+  trace.reserve_rank(rank, program.segment_bound(),
+                     static_cast<std::size_t>(program.rounds()) + 1);
+  proc.set_request_storage(
+      request_slab_.data() + offset,
+      static_cast<std::uint32_t>(program.max_window_requests()));
+  offset += program.max_window_requests();
+  proc.set_program(&program);
+  return proc;
 }
 
 void Cluster::wire_domains() {
@@ -112,19 +143,23 @@ void Cluster::publish_metrics() {
 void Cluster::record_footprint(const mpi::Trace& trace) {
   // The per-rank budget counts the rank-proportional simulation state: the
   // trace slabs, the shared request slab, the process/domain pools, the
-  // rank-indexed wiring tables, and the topology's classification tables.
-  // (The calendar and transport pools scale with the *active* working set,
-  // not with ranks, and are deliberately excluded.)
+  // transport's per-rank protocol state, and the rank-indexed tables
+  // (process and domain wiring, transport binding, topology tiers). The
+  // rank-indexed tables keep their high-water size across resets; they are
+  // counted at this run's rank count, as a fresh cluster would hold them.
+  // (The calendar and the rendezvous slab scale with the *active* working
+  // set, not with ranks, and are deliberately excluded.)
+  const auto nranks = static_cast<std::size_t>(topo_.ranks());
   std::size_t bytes = trace.bytes_used();
   bytes += request_slab_.capacity() * sizeof(mpi::Request);
   bytes += processes_.bytes_used();
   bytes += domains_.bytes_used();
-  bytes += process_table_.capacity() * sizeof(mpi::Process*);
+  bytes += transport_.rank_state_bytes();
+  bytes += nranks * sizeof(mpi::Process*);
   bytes += domain_table_.capacity() * sizeof(memory::BandwidthDomain*);
   const int tiers = 2 + (topo_.has_switch_tier() ? 1 : 0) +
                     (topo_.has_island_tier() ? 1 : 0);
-  bytes += static_cast<std::size_t>(topo_.ranks()) *
-           static_cast<std::size_t>(tiers) * sizeof(std::int32_t);
+  bytes += nranks * static_cast<std::size_t>(tiers) * sizeof(std::int32_t);
   peak_bytes_per_rank_ = static_cast<double>(bytes) /
                          static_cast<double>(std::max(1, topo_.ranks()));
   if (config_.metrics != nullptr)
@@ -139,7 +174,6 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
              "need exactly one program per rank");
   ran_ = true;
 
-  const auto nranks = static_cast<std::size_t>(topo_.ranks());
   mpi::Trace trace(topo_.ranks());
 
   wire_domains();
@@ -152,22 +186,11 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
   for (const auto& program : programs) slab += program.max_window_requests();
   request_slab_.resize(slab);
 
-  process_table_.clear();
-  process_table_.reserve(nranks);
+  clear_process_table();
   std::size_t offset = 0;
   for (int rank = 0; rank < topo_.ranks(); ++rank) {
-    const mpi::Program& program = programs[static_cast<std::size_t>(rank)];
-    mpi::Process& proc = bind_process(static_cast<std::size_t>(rank), rank,
-                                      trace);
-    // Size the trace from the program shape (exact segment bound) so
-    // recording never reallocates mid-run.
-    trace.reserve_rank(rank, program.segment_bound(),
-                       static_cast<std::size_t>(program.rounds()) + 1);
-    proc.set_request_storage(
-        request_slab_.data() + offset,
-        static_cast<std::uint32_t>(program.max_window_requests()));
-    offset += program.max_window_requests();
-    proc.set_program(&program);
+    mpi::Process& proc = bind_rank(
+        rank, programs[static_cast<std::size_t>(rank)], trace, offset);
     if (config_.system_noise.kind != noise::NoiseSpec::Kind::none) {
       proc.add_noise(config_.system_noise.build(),
                      Rng::for_stream(config_.seed,
@@ -182,9 +205,7 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
     }
     if (!domain_table_.empty())
       proc.set_domain(domain_table_[static_cast<std::size_t>(rank)]);
-    process_table_.push_back(&proc);
   }
-  procs_in_use_ = nranks;
 
   // Rank-indexed completion wiring: the transport calls straight into
   // Process::on_request_complete, no type-erased hop.
@@ -211,12 +232,12 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
 }
 
 mpi::Trace Cluster::run_fast_forward(
-    const std::vector<const mpi::Program*>& programs,
+    std::span<const int> ranks, std::span<const mpi::Program> programs,
     std::span<const GhostSend> ghost_sends,
     std::span<const GhostPost> ghost_posts) {
   IW_REQUIRE(!ran_, "Cluster::run requires a fresh or reset() instance");
-  IW_REQUIRE(static_cast<int>(programs.size()) == topo_.ranks(),
-             "need exactly one program slot per rank");
+  IW_REQUIRE(ranks.size() == programs.size(),
+             "need exactly one program per active rank");
   // The fast-forward envelope (core::plan_fast_forward) excludes every
   // feature that could couple a silent rank back into the simulation;
   // re-prove the structural parts here.
@@ -228,7 +249,6 @@ mpi::Trace Cluster::run_fast_forward(
              "fast-forward runs cannot be flight-recorded");
   ran_ = true;
 
-  const auto nranks = static_cast<std::size_t>(topo_.ranks());
   mpi::Trace trace(topo_.ranks());
 
   domains_in_use_ = 0;
@@ -236,31 +256,22 @@ mpi::Trace Cluster::run_fast_forward(
   transport_.set_memory_domains(domain_table_);
 
   std::size_t slab = 0;
-  for (const auto* program : programs)
-    if (program != nullptr) slab += program->max_window_requests();
+  for (const mpi::Program& program : programs)
+    slab += program.max_window_requests();
   request_slab_.resize(slab);
 
-  // Silent ranks get a null process-table entry. That is safe because a
+  // Silent ranks keep a null process-table entry. That is safe because a
   // silent rank never posts a receive: arrivals from ghosts into silent
   // destinations park in the transport's unexpected queues and are never
   // completed, so procs_[silent] is never dereferenced.
-  process_table_.assign(nranks, nullptr);
-  std::size_t slot = 0;
+  clear_process_table();
   std::size_t offset = 0;
-  for (int rank = 0; rank < topo_.ranks(); ++rank) {
-    const mpi::Program* program = programs[static_cast<std::size_t>(rank)];
-    if (program == nullptr) continue;
-    mpi::Process& proc = bind_process(slot++, rank, trace);
-    trace.reserve_rank(rank, program->segment_bound(),
-                       static_cast<std::size_t>(program->rounds()) + 1);
-    proc.set_request_storage(
-        request_slab_.data() + offset,
-        static_cast<std::uint32_t>(program->max_window_requests()));
-    offset += program->max_window_requests();
-    proc.set_program(program);
-    process_table_[static_cast<std::size_t>(rank)] = &proc;
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    IW_REQUIRE(ranks[i] >= 0 && ranks[i] < topo_.ranks() &&
+                   (i == 0 || ranks[i - 1] < ranks[i]),
+               "active ranks must be ascending and in range");
+    (void)bind_rank(ranks[i], programs[i], trace, offset);
   }
-  procs_in_use_ = slot;
   transport_.set_processes(process_table_.data());
   engine_.set_tracer(nullptr);
   transport_.set_tracer(nullptr);

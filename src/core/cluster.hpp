@@ -106,10 +106,11 @@ class Cluster {
                  const noise::NoiseSpec& injected_noise =
                      noise::NoiseSpec::none());
 
-  /// Fast-forward run over an *active subset* of ranks: programs[r] is the
-  /// rank's program, or nullptr for a silent rank that is provably outside
-  /// every delay/boundary light cone. Silent ranks get no Process, no
-  /// request slice, and no trace reservation — the analytic layer
+  /// Fast-forward run over an *active subset* of ranks: programs[i] is the
+  /// program of rank ranks[i] (ascending); every other rank is silent,
+  /// provably outside every delay/boundary light cone. Silent ranks get no
+  /// Process, no transport state, no request slice, and no trace
+  /// reservation, so setup costs O(active), not O(ranks) — the analytic layer
   /// (core::run_ring_fast_forward) synthesizes their rows afterwards. The
   /// rim of the active set still receives messages from its silent
   /// neighbors; those arrive as the pre-scheduled `ghost_posts`, each
@@ -118,14 +119,17 @@ class Cluster {
   /// the duration of the call. Requires the fast-forward eligibility
   /// envelope (no noise, no memory domains, no tracer); callable once per
   /// construction/reset().
-  mpi::Trace run_fast_forward(const std::vector<const mpi::Program*>& programs,
+  mpi::Trace run_fast_forward(std::span<const int> ranks,
+                              std::span<const mpi::Program> programs,
                               std::span<const GhostSend> ghost_sends,
                               std::span<const GhostPost> ghost_posts);
 
   /// Re-arms the cluster for another run under a (possibly different)
   /// configuration. The engine calendar, transport pools, and the process
   /// and domain objects are recycled; behaviour is identical to a freshly
-  /// constructed Cluster with the same config.
+  /// constructed Cluster with the same config. Clears only the state the
+  /// previous run used; rank-indexed tables keep their high-water size, and
+  /// the topology tables are reused while the tier shape is unchanged.
   void reset(ClusterConfig config);
 
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
@@ -143,9 +147,10 @@ class Cluster {
   }
 
   /// Simulation-state bytes per rank of the last run: trace slabs, request
-  /// slab, process/domain pools, the rank-indexed wiring tables, and the
-  /// topology's classification tables. The scale bench regression-gates
-  /// this against the fixed per-rank budget.
+  /// slab, process/domain pools, the transport's per-rank protocol state,
+  /// the rank-indexed wiring tables, and the topology's classification
+  /// tables. The scale bench regression-gates this against the fixed
+  /// per-rank budget.
   [[nodiscard]] double peak_bytes_per_rank() const {
     return peak_bytes_per_rank_;
   }
@@ -160,6 +165,13 @@ class Cluster {
   /// constructs a new one in place. Stable addresses — never invalidates
   /// previously bound processes.
   mpi::Process& bind_process(std::size_t slot, int rank, mpi::Trace& trace);
+  /// Unbinds the previous run's process-table entries and sizes the table
+  /// for this run's rank count.
+  void clear_process_table();
+  /// Binds the next pool process to `rank` running `program`: trace row,
+  /// request-slab window at `offset` (advanced past it), table entry.
+  mpi::Process& bind_rank(int rank, const mpi::Program& program,
+                          mpi::Trace& trace, std::size_t& offset);
 
   void wire_domains();
   void publish_metrics();
@@ -174,7 +186,7 @@ class Cluster {
   support::ObjectPool<mpi::Process> processes_;
   std::size_t procs_in_use_ = 0;
   std::vector<mpi::Request> request_slab_;    ///< all ranks' request windows
-  std::vector<mpi::Process*> process_table_;  ///< rank-indexed hot-path wiring
+  std::vector<mpi::Process*> process_table_;  ///< rank-indexed; high-water
   std::vector<memory::BandwidthDomain*> domain_table_;
   double peak_bytes_per_rank_ = 0.0;
   bool ran_ = false;

@@ -87,6 +87,10 @@ class WaveRunner {
  public:
   [[nodiscard]] WaveResult run(const WaveExperiment& exp);
 
+  /// The recycled cluster (null before the first run), for pool and
+  /// footprint inspection.
+  [[nodiscard]] const Cluster* cluster() const { return cluster_.get(); }
+
  private:
   std::unique_ptr<Cluster> cluster_;
 };

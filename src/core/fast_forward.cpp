@@ -1,6 +1,8 @@
 #include "core/fast_forward.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -26,18 +28,99 @@ int pattern_period_of(const net::TopologySpec& spec) {
   return period;
 }
 
-void mark_cone(std::vector<std::uint8_t>& active, int center, int radius,
-               workload::Boundary boundary) {
-  const int np = static_cast<int>(active.size());
-  for (int off = -radius; off <= radius; ++off) {
-    int r = center + off;
-    if (boundary == workload::Boundary::periodic) {
-      r = ((r % np) + np) % np;
-    } else if (r < 0 || r >= np) {
-      continue;
-    }
-    active[static_cast<std::size_t>(r)] = 1;
+/// Appends the cone [center - radius, center + radius] as intervals:
+/// clipped to the chain on an open ring, split at rank 0 on a periodic one.
+void add_cone(std::vector<RankInterval>& cones, int center, int radius,
+              int np, workload::Boundary boundary) {
+  std::int64_t lo = static_cast<std::int64_t>(center) - radius;
+  std::int64_t hi = static_cast<std::int64_t>(center) + radius + 1;
+  if (hi - lo >= np) {
+    cones.push_back({0, np});
+    return;
   }
+  if (boundary == workload::Boundary::periodic) {
+    const std::int64_t shift = lo - (((lo % np) + np) % np);
+    lo -= shift;  // lo in [0, np), hi in (lo, lo + np)
+    hi -= shift;
+    if (hi > np) {
+      cones.push_back({static_cast<int>(lo), np});
+      cones.push_back({0, static_cast<int>(hi - np)});
+    } else {
+      cones.push_back({static_cast<int>(lo), static_cast<int>(hi)});
+    }
+    return;
+  }
+  lo = std::max<std::int64_t>(lo, 0);
+  hi = std::min<std::int64_t>(hi, np);
+  if (lo < hi) cones.push_back({static_cast<int>(lo), static_cast<int>(hi)});
+}
+
+/// Sorts and merges overlapping or adjacent intervals.
+std::vector<RankInterval> merge_intervals(std::vector<RankInterval> in) {
+  std::sort(in.begin(), in.end(),
+            [](const RankInterval& a, const RankInterval& b) {
+              return a.begin < b.begin;
+            });
+  std::vector<RankInterval> out;
+  for (const RankInterval& iv : in) {
+    if (!out.empty() && iv.begin <= out.back().end)
+      out.back().end = std::max(out.back().end, iv.end);
+    else
+      out.push_back(iv);
+  }
+  return out;
+}
+
+/// Membership in a sorted, disjoint interval set: O(log intervals).
+bool contains(const std::vector<RankInterval>& set, int rank) {
+  const auto it = std::upper_bound(
+      set.begin(), set.end(), rank,
+      [](int r, const RankInterval& iv) { return r < iv.begin; });
+  return it != set.begin() && rank < std::prev(it)->end;
+}
+
+/// The complement of a sorted, disjoint interval set within [0, np).
+std::vector<RankInterval> complement(const std::vector<RankInterval>& set,
+                                     int np) {
+  std::vector<RankInterval> out;
+  int next = 0;
+  for (const RankInterval& iv : set) {
+    if (next < iv.begin) out.push_back({next, iv.begin});
+    next = iv.end;
+  }
+  if (next < np) out.push_back({next, np});
+  return out;
+}
+
+/// The silent ranks feeding the active set, ascending: candidates are the
+/// ranks within d hops of an interval edge (a send travels at most d hops),
+/// kept when one of their send peers is active.
+std::vector<int> ghost_rim(const workload::RingSpec& ring,
+                           const std::vector<RankInterval>& active) {
+  const int np = ring.ranks;
+  std::vector<int> rim;
+  const auto consider = [&](std::int64_t r) {
+    if (ring.boundary == workload::Boundary::periodic)
+      r = ((r % np) + np) % np;
+    else if (r < 0 || r >= np)
+      return;
+    if (!contains(active, static_cast<int>(r)))
+      rim.push_back(static_cast<int>(r));
+  };
+  for (const RankInterval& iv : active) {
+    for (int k = 1; k <= ring.distance; ++k) {
+      consider(static_cast<std::int64_t>(iv.begin) - k);
+      consider(static_cast<std::int64_t>(iv.end) - 1 + k);
+    }
+  }
+  std::sort(rim.begin(), rim.end());
+  rim.erase(std::unique(rim.begin(), rim.end()), rim.end());
+  std::erase_if(rim, [&](int r) {
+    const auto peers = workload::send_peers(ring, r);
+    return std::none_of(peers.begin(), peers.end(),
+                        [&](int p) { return contains(active, p); });
+  });
+  return rim;
 }
 
 /// Content equality of two traces (slab layout is irrelevant): the
@@ -137,16 +220,17 @@ FastForwardPlan plan_fast_forward(const WaveExperiment& exp) {
   }
 
   plan.eligible = true;
-  plan.active.assign(static_cast<std::size_t>(np), 0);
   const int radius = ring.distance * (ring.steps + 2);
+  std::vector<RankInterval> cones;
   for (const auto& d : exp.delays)
-    mark_cone(plan.active, d.rank, radius, ring.boundary);
+    add_cone(cones, d.rank, radius, np, ring.boundary);
   if (ring.boundary == workload::Boundary::open) {
-    mark_cone(plan.active, 0, radius, ring.boundary);
-    mark_cone(plan.active, np - 1, radius, ring.boundary);
+    add_cone(cones, 0, radius, np, ring.boundary);
+    add_cone(cones, np - 1, radius, np, ring.boundary);
   }
-  plan.active_count = static_cast<std::size_t>(
-      std::count(plan.active.begin(), plan.active.end(), 1));
+  plan.active = merge_intervals(std::move(cones));
+  for (const RankInterval& iv : plan.active)
+    plan.active_count += static_cast<std::size_t>(iv.size());
   return plan;
 }
 
@@ -187,29 +271,26 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
   }
 
   // Programs for the active set only: the silent majority never gets one.
-  std::vector<const mpi::Program*> programs(static_cast<std::size_t>(np),
-                                            nullptr);
-  std::vector<mpi::Program> storage;
-  storage.reserve(plan.active_count);
-  for (int r = 0; r < np; ++r) {
-    if (!plan.active[static_cast<std::size_t>(r)]) continue;
-    storage.push_back(workload::build_ring_rank(ring, r, exp.delays));
-    programs[static_cast<std::size_t>(r)] = &storage.back();
+  std::vector<int> active_ranks;
+  std::vector<mpi::Program> programs;
+  active_ranks.reserve(plan.active_count);
+  programs.reserve(plan.active_count);
+  for (const RankInterval& iv : plan.active) {
+    for (int r = iv.begin; r < iv.end; ++r) {
+      active_ranks.push_back(r);
+      programs.push_back(workload::build_ring_rank(ring, r, exp.delays));
+    }
   }
 
   // Ghost schedule: every silent rank feeding the active rim replays *all*
   // of its sends in program order at its reference send times — partial
   // replay would shift the NIC serialization of the sends that matter.
+  // Emission is in ascending rank order: equal-time posts fire in that
+  // order, as the senders would in a full simulation.
   std::vector<GhostSend> ghost_sends;
   std::vector<GhostPost> ghost_posts;
-  for (int r = 0; r < np; ++r) {
-    if (plan.active[static_cast<std::size_t>(r)]) continue;
+  for (const int r : ghost_rim(ring, plan.active)) {
     const auto peers = workload::send_peers(ring, r);
-    const bool feeds_active =
-        std::any_of(peers.begin(), peers.end(), [&plan](int p) {
-          return plan.active[static_cast<std::size_t>(p)] != 0;
-        });
-    if (!feeds_active) continue;
     const auto& times = send_times[static_cast<std::size_t>(r % period)];
     for (int step = 0; step < ring.steps; ++step) {
       GhostPost post;
@@ -222,23 +303,40 @@ FastForwardResult run_ring_fast_forward(Cluster& cluster,
     }
   }
 
-  FastForwardResult result{
-      cluster.run_fast_forward(programs, ghost_sends, ghost_posts)};
+  FastForwardResult result{cluster.run_fast_forward(
+      active_ranks, programs, ghost_sends, ghost_posts)};
 
   // Synthesize the silent timelines: one imported canonical row per
-  // residue class, O(1) aliases for the rest of the class.
+  // residue class (its first silent rank), then each silent range aliases
+  // onto the canonical rows in bulk.
+  const std::vector<RankInterval> silent = complement(plan.active, np);
   std::vector<int> canonical(static_cast<std::size_t>(period), -1);
-  for (int r = 0; r < np; ++r) {
-    if (plan.active[static_cast<std::size_t>(r)]) continue;
-    const auto q = static_cast<std::size_t>(r % period);
-    if (canonical[q] < 0) {
+  int found = 0;
+  for (const RankInterval& iv : silent) {
+    const int stop = std::min(iv.end, iv.begin + period);
+    for (int r = iv.begin; r < stop && found < period; ++r) {
+      int& c = canonical[static_cast<std::size_t>(r % period)];
+      if (c >= 0) continue;
       result.trace.import_rank(r, ref_trace, r % period);
-      canonical[q] = r;
-    } else {
-      result.trace.alias_rank(r, canonical[q]);
+      c = r;
+      ++found;
     }
-    result.skips += static_cast<std::uint64_t>(ring.steps);
-    result.time_skipped += result.trace.finish(r) - SimTime::zero();
+  }
+  // Silent ranks per residue class, counted from the range geometry.
+  std::vector<std::int64_t> class_size(static_cast<std::size_t>(period), 0);
+  for (const RankInterval& iv : silent) {
+    result.trace.alias_periodic(iv.begin, iv.end, canonical);
+    const int full = iv.size() / period;
+    const int rem = iv.size() % period;
+    for (int q = 0; q < period; ++q)
+      class_size[static_cast<std::size_t>(q)] +=
+          full + ((q - iv.begin % period + period) % period < rem ? 1 : 0);
+  }
+  for (int q = 0; q < period; ++q) {
+    const std::int64_t n = class_size[static_cast<std::size_t>(q)];
+    result.skips += static_cast<std::uint64_t>(n) *
+                    static_cast<std::uint64_t>(ring.steps);
+    result.time_skipped += (ref_trace.finish(q) - SimTime::zero()) * n;
   }
 
   if (exp.cluster.metrics != nullptr) {

@@ -27,6 +27,23 @@
 // the corresponding (non-wrapped) bulk pair in the real machine, so every
 // link classifies identically and the per-step times agree bit for bit.
 //
+// Cost model: a fast-forwarded point does O(active + rim) work — the
+// active set's programs, processes, transport state and events, plus the
+// ghost rim's posts — and touches every rank only through one trace row
+// descriptor (silent ranks alias their residue class's canonical row, one
+// bulk call per silent range) and one wave observation per probed hop.
+// Nothing else walks the silent ranks:
+//   * the active set is a short list of rank intervals (the merged cones),
+//     and the ghost rim is read off its geometry: the silent ranks within
+//     d hops of an interval edge that send into it;
+//   * the Cluster binds transport state and processes for active and rim
+//     ranks only, and reset() clears just the entries the previous run
+//     bound (rank-indexed tables keep their high-water size, topology
+//     tables are reused while the tier shape is unchanged);
+//   * analyze_wave scans each physical trace row once, so an aliased
+//     silent rank costs one memo lookup.
+// The README's "Scaling" section has the measured per-phase split.
+//
 // Eligibility (plan_fast_forward) is deliberately conservative: ring
 // workloads only, no noise of either source, no memory domains, no flight
 // recorder, ideal NIC (unbounded injection/buffers/credits), eager-sized
@@ -68,13 +85,25 @@ enum class FfwdMode : std::uint8_t {
 /// Parses "off" / "auto" / "force"; throws on anything else.
 [[nodiscard]] FfwdMode ffwd_mode_from_string(std::string_view s);
 
+/// A half-open run of ranks [begin, end).
+struct RankInterval {
+  int begin = 0;
+  int end = 0;
+
+  [[nodiscard]] int size() const { return end - begin; }
+  friend bool operator==(const RankInterval&, const RankInterval&) = default;
+};
+
 /// The eligibility decision plus the active-set geometry.
 struct FastForwardPlan {
   bool eligible = false;
   std::string reason;     ///< first failed eligibility condition, if any
   int period = 1;         ///< topology pattern period P
   int np_ref = 0;         ///< reference-ring size (P * m, m >= 2)
-  std::vector<std::uint8_t> active;  ///< per-rank: 1 = event-simulated
+  /// The event-simulated ranks: the union of the delay and open-end cones
+  /// as sorted, disjoint, non-adjacent intervals. A periodic cone across
+  /// rank 0 contributes a head interval [0, x) and a tail [y, np).
+  std::vector<RankInterval> active;
   std::size_t active_count = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "core/idle_wave.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 
 #include "support/error.hpp"
 
@@ -28,39 +30,109 @@ std::optional<int> rank_at_hops(int origin, int hops, int direction,
   return raw;
 }
 
+namespace {
+
+/// The first wave-attributable wait of one physical trace row, memoized by
+/// the row's storage address. Fast-forwarded traces alias every silent rank
+/// of a residue class onto one shared row, so a probe crossing 10^6 silent
+/// ranks scans each distinct row once and pays one table lookup per hop.
+/// Direct-mapped: a collision only costs a rescan, never a wrong answer,
+/// because the key (address, length) identifies the row's contents.
+class FirstWaitMemo {
+ public:
+  FirstWaitMemo(const WaveProbe& probe, std::size_t rows) : probe_(probe) {
+    std::size_t slots = 16;
+    while (slots < rows * 2 && slots < kMaxSlots) slots *= 2;
+    slots_.resize(slots);
+  }
+
+  /// Fills obs.reached / arrival / amplitude for `row`.
+  void observe(std::span<const mpi::Segment> row, WaveObservation& obs) {
+    const auto key = reinterpret_cast<std::uintptr_t>(row.data());
+    Slot& slot = slots_[((key / sizeof(mpi::Segment)) * kHashMul >> 32) &
+                        (slots_.size() - 1)];
+    if (slot.row != row.data() || slot.size != row.size()) {
+      slot = Slot{row.data(), row.size(), scan(row)};
+    }
+    obs.reached = slot.wait.reached;
+    obs.arrival = slot.wait.arrival;
+    obs.amplitude = slot.wait.amplitude;
+  }
+
+ private:
+  static constexpr std::size_t kMaxSlots = 4096;
+  static constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ull;
+
+  struct Wait {
+    bool reached = false;
+    SimTime arrival;
+    Duration amplitude;
+  };
+  struct Slot {
+    const mpi::Segment* row = nullptr;
+    std::size_t size = static_cast<std::size_t>(-1);  // matches no row
+    Wait wait;
+  };
+
+  /// The period must *end* after the injection began (a begin-time
+  /// comparison would race with per-rank noise skew: the neighbor may enter
+  /// its waiting phase microseconds before the delayed rank starts the
+  /// injected segment).
+  [[nodiscard]] Wait scan(std::span<const mpi::Segment> row) const {
+    for (const auto& seg : row) {
+      if (seg.kind != mpi::SegKind::wait) continue;
+      if (seg.duration() < probe_.min_idle) continue;
+      if (seg.end <= probe_.injection_time) continue;
+      return Wait{true, seg.begin, seg.duration()};
+    }
+    return Wait{};
+  }
+
+  const WaveProbe& probe_;
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
 WaveAnalysis analyze_wave(const mpi::Trace& trace, const WaveProbe& probe) {
   WaveAnalysis analysis;
   const int n = trace.ranks();
+  IW_REQUIRE(probe.direction == 1 || probe.direction == -1,
+             "direction must be +-1");
+  const bool periodic = probe.boundary == workload::Boundary::periodic;
 
   int max_hops = probe.max_hops;
   if (max_hops <= 0)
-    max_hops = n - 1;  // open: clipped by rank_at_hops; periodic: once around
+    max_hops = n - 1;  // open: clipped at the chain end; periodic: once around
+  // An open chain ends before max_hops when the injection sits near an end.
+  int hops_limit = max_hops;
+  if (!periodic) {
+    const std::int64_t first =
+        std::int64_t{probe.injection_rank} + probe.direction;
+    const std::int64_t room = first < 0 || first >= n ? 0
+                              : probe.direction > 0   ? n - first
+                                                      : first + 1;
+    hops_limit = static_cast<int>(std::min<std::int64_t>(room, max_hops));
+  }
+  analysis.observations.reserve(static_cast<std::size_t>(hops_limit));
 
+  // Walk the ranks incrementally (same sequence as rank_at_hops, without
+  // two divisions per hop).
+  int rank = periodic ? ((probe.injection_rank % n) + n) % n
+                      : probe.injection_rank;
+  FirstWaitMemo memo(probe, static_cast<std::size_t>(hops_limit));
   bool front_broken = false;
-  for (int hops = 1; hops <= max_hops; ++hops) {
-    const auto rank =
-        rank_at_hops(probe.injection_rank, hops, probe.direction, n,
-                     probe.boundary);
-    if (!rank) break;  // walked off an open chain
+  for (int hops = 1; hops <= hops_limit; ++hops) {
+    rank += probe.direction;
+    if (periodic) {
+      if (rank == n) rank = 0;
+      if (rank < 0) rank = n - 1;
+    }
 
     WaveObservation obs;
-    obs.rank = *rank;
+    obs.rank = rank;
     obs.hops = hops;
-    // First wave-attributable idle period, scanned straight off the trace
-    // (no per-rank vector materialization — at machine scale this loop
-    // visits up to every rank). The period must *end* after the injection
-    // began (a begin-time comparison would race with per-rank noise skew:
-    // the neighbor may enter its waiting phase microseconds before the
-    // delayed rank starts the injected segment).
-    for (const auto& seg : trace.segments(*rank)) {
-      if (seg.kind != mpi::SegKind::wait) continue;
-      if (seg.duration() < probe.min_idle) continue;
-      if (seg.end <= probe.injection_time) continue;
-      obs.reached = true;
-      obs.arrival = seg.begin;
-      obs.amplitude = seg.duration();
-      break;
-    }
+    memo.observe(trace.segments(rank), obs);
     if (obs.reached && !front_broken) ++analysis.survival_hops;
     if (!obs.reached) front_broken = true;
     analysis.observations.push_back(obs);

@@ -82,17 +82,31 @@ void Trace::set_finish(int rank, SimTime when) {
 }
 
 void Trace::alias_rank(int rank, int source) {
-  check_rank(rank);
-  check_rank(source);
   IW_REQUIRE(rank != source, "cannot alias a rank to itself");
-  const auto r = static_cast<std::size_t>(rank);
-  const auto s = static_cast<std::size_t>(source);
-  IW_REQUIRE(seg_rows_[r].count == 0 && seg_rows_[r].capacity == 0 &&
-                 step_rows_[r].count == 0 && step_rows_[r].capacity == 0,
-             "alias_rank target already holds data");
-  seg_rows_[r] = seg_rows_[s];
-  step_rows_[r] = step_rows_[s];
-  finish_[r] = finish_[s];
+  check_rank(rank);
+  alias_periodic(rank, rank + 1, std::span<const int>(&source, 1));
+}
+
+void Trace::alias_periodic(int first, int last,
+                           std::span<const int> sources) {
+  IW_REQUIRE(0 <= first && first <= last && last <= ranks(),
+             "alias range out of bounds");
+  IW_REQUIRE(!sources.empty(), "alias pattern needs at least one source");
+  std::size_t q = static_cast<std::size_t>(first) % sources.size();
+  for (int rank = first; rank < last; ++rank) {
+    const int source = sources[q];
+    if (++q == sources.size()) q = 0;
+    if (rank == source) continue;
+    check_rank(source);
+    const auto r = static_cast<std::size_t>(rank);
+    const auto s = static_cast<std::size_t>(source);
+    IW_REQUIRE(seg_rows_[r].count == 0 && seg_rows_[r].capacity == 0 &&
+                   step_rows_[r].count == 0 && step_rows_[r].capacity == 0,
+               "alias target already holds data");
+    seg_rows_[r] = seg_rows_[s];
+    step_rows_[r] = step_rows_[s];
+    finish_[r] = finish_[s];
+  }
 }
 
 void Trace::import_rank(int rank, const Trace& source, int source_rank) {

@@ -73,6 +73,12 @@ class Trace {
   /// further writes to either rank are allowed afterwards.
   void alias_rank(int rank, int source);
 
+  /// Bulk alias_rank() over a periodic pattern: every rank r in
+  /// [first, last) shares the rows of sources[r % sources.size()]; a rank
+  /// that is its own source keeps its rows. One descriptor copy per rank —
+  /// the fast-forward path aliases each silent range with one call.
+  void alias_periodic(int first, int last, std::span<const int> sources);
+
   /// Copies `source_rank`'s rows (segments, step marks, finish) from
   /// another trace into `rank` of this one — the fast-forward path imports
   /// one canonical reference-ring timeline per residue class, then

@@ -48,17 +48,15 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   credit_window_ = config_.eager.credit_window;
   flavor_ = config_.rendezvous.flavor;
 
-  if (ranks_.size() != nranks_) ranks_.resize(nranks_);
-  for (RankState& s : ranks_) {
-    s.posted_recvs.clear();
-    s.unexpected_eager.clear();
-    s.unexpected_rts.clear();
-    s.nic_backlog.clear();
-    s.nic_free = SimTime::zero();
-    s.nic_inflight = 0;
-    s.outstanding_handshakes = 0;
-    s.deferred.clear();
+  // Unbind only the states the previous run touched; the table entries of
+  // every other rank are already null.
+  for (std::size_t i = 0; i < states_in_use_; ++i) {
+    RankState& s = states_[i];
+    state_of_[static_cast<std::size_t>(s.rank)] = nullptr;
+    s.clear();
   }
+  states_in_use_ = 0;
+  if (state_of_.size() < nranks_) state_of_.resize(nranks_, nullptr);
   rdv_slab_.clear();
   rdv_free_.clear();
 #if IW_AUDIT_ENABLED
@@ -101,6 +99,29 @@ void Transport::reconfigure(const net::FabricProfile& fabric,
   IW_AUDIT(audit());
 }
 
+void Transport::RankState::clear() {
+  posted_recvs.clear();
+  unexpected_eager.clear();
+  unexpected_rts.clear();
+  nic_backlog.clear();
+  nic_free = SimTime::zero();
+  nic_inflight = 0;
+  outstanding_handshakes = 0;
+  deferred.clear();
+  rank = -1;
+}
+
+Transport::RankState* Transport::bind_state(int rank) {
+  if (states_in_use_ == states_.size()) {
+    states_.emplace();
+    ++pool_allocations_;
+  }
+  RankState* s = &states_[states_in_use_++];
+  s->rank = rank;
+  state_of_[static_cast<std::size_t>(rank)] = s;
+  return s;
+}
+
 void Transport::set_processes(Process* const* by_rank) { procs_ = by_rank; }
 
 void Transport::set_completion_handler(CompletionFn fn) {
@@ -118,7 +139,8 @@ void Transport::set_memory_domains(
 Transport::PoolStats Transport::pool_stats() const {
   PoolStats p;
   p.allocations = pool_allocations_;
-  for (const RankState& s : ranks_) {
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const RankState& s = states_[i];
     p.allocations += s.posted_recvs.grows() + s.unexpected_eager.grows() +
                      s.unexpected_rts.grows() + s.nic_backlog.grows();
     p.nic_backlog_depth += s.nic_backlog.size();
@@ -174,7 +196,12 @@ void Transport::audit() const {
             "pool_stats in-flight count disagrees with the liveness shadow");
   std::int64_t inflight_sum = 0;
   std::int64_t backlog_sum = 0;
-  for (const RankState& s : ranks_) {
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const RankState& s = states_[i];
+    IW_ASSERT((i < states_in_use_) == (s.rank >= 0) &&
+                  (s.rank < 0 ||
+                   state_of_[static_cast<std::size_t>(s.rank)] == &s),
+              "rank-state binding out of step with the rank table");
     s.posted_recvs.audit();
     s.unexpected_eager.audit();
     s.unexpected_rts.audit();

@@ -59,6 +59,11 @@
 //     control-message envelope), so every protocol step is one array index.
 //   * Per-endpoint matching queues and the NIC retry backlog are RingQueues
 //     over pooled storage that is retained across runs (see reconfigure()).
+//   * Per-rank protocol state is sparse: a rank's RankState is bound from a
+//     pool on the rank's first protocol touch, behind one rank-indexed
+//     pointer table. A fast-forward run over 1M ranks thus pays for the
+//     simulated ranks and their ghost rim only, and reconfigure() unbinds
+//     exactly the states the previous run used.
 //   * Eager-backlog and credit accounting use flat (src, dst) tables sized
 //     from the Topology — and are skipped entirely under the default
 //     infinite capacity / unlimited credits, where the fallbacks can never
@@ -86,6 +91,7 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "support/check.hpp"
+#include "support/object_pool.hpp"
 #include "support/ring_queue.hpp"
 
 namespace iw::mpi {
@@ -152,8 +158,9 @@ class Transport {
   /// Re-arms the transport for another run after the owning cluster reshaped
   /// its topology/fabric/config: protocol state and wiring are cleared, but
   /// every pool (rank queues, rendezvous slab, backlog tables) keeps its
-  /// storage. Rank-state vectors are resized to the topology's current rank
-  /// count. Validates the config. Must be paired with an Engine::reset().
+  /// storage. Costs O(rank states the previous run bound), not O(ranks): the
+  /// rank-indexed table keeps its high-water size. Validates the config.
+  /// Must be paired with an Engine::reset().
   void reconfigure(const net::FabricProfile& fabric,
                    const TransportConfig& config);
 
@@ -193,6 +200,23 @@ class Transport {
   [[nodiscard]] std::int64_t eager_limit() const { return eager_limit_; }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
   [[nodiscard]] PoolStats pool_stats() const;
+
+  /// Binds `rank`'s protocol state now instead of on its first protocol
+  /// touch. The Cluster binds its process ranks in ascending order before
+  /// each run, so their states sit in rank order in the pool, as in a
+  /// rank-indexed array (first-touch order is noise-shuffled).
+  void bind_rank(int rank) {
+    check_ranks(rank, rank);
+    (void)state(rank);
+  }
+
+  /// Heap bytes of the per-rank protocol state: the pooled RankState
+  /// objects plus the rank-indexed table that binds them, counted at the
+  /// current rank count (the table keeps its high-water size). Part of the
+  /// Cluster's per-rank footprint.
+  [[nodiscard]] std::size_t rank_state_bytes() const {
+    return states_.bytes_used() + nranks_ * sizeof(RankState*);
+  }
 
   /// Arms (or with nullptr disarms) the protocol flight recorder. The only
   /// hot-path cost while disarmed is one predicted-not-taken branch per
@@ -279,12 +303,21 @@ class Transport {
     int nic_inflight = 0;                  ///< budgeted injections in flight
     int outstanding_handshakes = 0;        ///< RTS sent, CTS not yet received
     std::vector<std::uint32_t> deferred;   ///< handshake-complete, push held
+    int rank = -1;                         ///< owner while bound
+
+    /// Back to the unbound state; queue storage is retained.
+    void clear();
   };
 
   [[nodiscard]] const net::LinkParams& link(int a, int b) const;
+  /// The rank's protocol state, bound from the pool on first touch.
   RankState& state(int rank) {
-    return ranks_[static_cast<std::size_t>(rank)];
+    RankState* s = state_of_[static_cast<std::size_t>(rank)];
+    if (s == nullptr) [[unlikely]]
+      s = bind_state(rank);
+    return *s;
   }
+  RankState* bind_state(int rank);
 
   /// Injects a message into `src`'s NIC (link parameters already resolved
   /// by the caller — each protocol op classifies its link exactly once);
@@ -447,7 +480,11 @@ class Transport {
   bool use_domains_ = false;
 
   // Pools. All storage survives reconfigure(); only logical state resets.
-  std::vector<RankState> ranks_;
+  // states_[0, states_in_use_) are bound this run; state_of_ maps a rank to
+  // its bound state (null = untouched) and never shrinks.
+  support::ObjectPool<RankState> states_;
+  std::size_t states_in_use_ = 0;
+  std::vector<RankState*> state_of_;
   std::vector<RdvSend> rdv_slab_;
   std::vector<std::uint32_t> rdv_free_;
   std::vector<std::int64_t> eager_backlog_;  ///< ranks^2, finite capacity only

@@ -13,8 +13,10 @@
 // default to 0 = disabled, which reproduces the flat fabric exactly:
 // a flat topology never produces inter_switch/inter_island links, so every
 // pre-hierarchy configuration is bit-for-bit unchanged. Classification
-// stays division-free: all tiers are precomputed rank-indexed tables built
-// once at construction.
+// stays division-free: all tiers are precomputed rank-indexed tables. A
+// table entry depends on the rank index and the tier shape only, never on
+// the rank count, so reshape() to a different np under the same shape keeps
+// the high-water tables and extends them in place when np grows.
 #pragma once
 
 #include <array>
@@ -44,6 +46,12 @@ struct TopologySpec {
 class Topology {
  public:
   explicit Topology(const TopologySpec& spec);
+
+  /// Re-targets the topology at `spec`, as if freshly constructed. When
+  /// only the rank count differs from the current shape, the rank tables
+  /// are reused: nothing is rebuilt for np at or below the high-water
+  /// mark, and a larger np only appends the missing entries.
+  void reshape(const TopologySpec& spec);
 
   [[nodiscard]] int ranks() const { return spec_.ranks; }
   [[nodiscard]] int ranks_per_socket() const { return per_socket_; }
@@ -92,9 +100,9 @@ class Topology {
   }
 
   /// Classifies the link between two ranks. O(1): rank -> tier indices are
-  /// precomputed at construction, so the per-message hot path never
-  /// divides (the transport classifies every send, arrival, and handshake
-  /// leg against this).
+  /// precomputed tables, so the per-message hot path never divides (the
+  /// transport classifies every send, arrival, and handshake leg against
+  /// this).
   [[nodiscard]] LinkClass classify(int a, int b) const {
     IW_REQUIRE(a >= 0 && a < spec_.ranks && b >= 0 && b < spec_.ranks,
                "rank out of range");
@@ -114,12 +122,18 @@ class Topology {
   }
 
  private:
+  [[nodiscard]] bool same_shape(const TopologySpec& spec,
+                                int per_socket) const;
+  /// Appends table entries until every tier table covers `ranks`.
+  void extend_tables(int ranks);
+
   TopologySpec spec_;
-  int per_socket_;
+  int per_socket_ = 1;
   std::vector<std::int32_t> socket_by_rank_;
   std::vector<std::int32_t> node_by_rank_;
   std::vector<std::int32_t> switch_by_rank_;  ///< empty when tier disabled
   std::vector<std::int32_t> island_by_rank_;  ///< empty when tier disabled
+  // (All tables are high-water: they may extend past spec_.ranks.)
   std::array<bool, static_cast<std::size_t>(kLinkClassCount)> produces_{};
 };
 

@@ -14,6 +14,9 @@
 #include "core/experiment.hpp"
 #include "core/fast_forward.hpp"
 #include "obs/metrics.hpp"
+#include "sweep/record.hpp"
+#include "sweep/scenario.hpp"
+#include "sweep/spec.hpp"
 #include "workload/delay.hpp"
 
 namespace iw::core {
@@ -108,6 +111,118 @@ TEST(FastForward, ByteIdentityPeriodicHierarchical) {
   exp.cluster.system_noise = noise::NoiseSpec::none();
   exp.cluster.topo.nodes_per_switch = 8;
   expect_ffwd_matches_full(exp);
+}
+
+// --- interval geometry: the active set as merged cone intervals ----------
+
+/// Two delays on one ring (step 1 and step 2, 10 ms each).
+std::vector<workload::DelaySpec> two_delays(int a, int b) {
+  auto delays = workload::single_delay(a, 1, milliseconds(10.0));
+  const auto second = workload::single_delay(b, 2, milliseconds(10.0));
+  delays.insert(delays.end(), second.begin(), second.end());
+  return delays;
+}
+
+TEST(FastForward, ByteIdentityOverlappingDelayCones) {
+  // Cone radius d * (steps + 2) = 14: the cones around 40 and 50 overlap
+  // and must merge into one active interval.
+  WaveExperiment exp = ring_experiment(
+      128, workload::Direction::unidirectional, workload::Boundary::open, 1);
+  exp.delays = two_delays(40, 50);
+  const FastForwardPlan plan = plan_fast_forward(exp);
+  ASSERT_TRUE(plan.eligible) << plan.reason;
+  EXPECT_EQ(plan.active, (std::vector<RankInterval>{{0, 15}, {26, 65},
+                                                    {113, 128}}));
+  expect_ffwd_matches_full(exp);
+}
+
+TEST(FastForward, ByteIdentityDisjointDelayCones) {
+  WaveExperiment exp = ring_experiment(
+      160, workload::Direction::unidirectional, workload::Boundary::open, 1);
+  exp.delays = two_delays(40, 110);
+  const FastForwardPlan plan = plan_fast_forward(exp);
+  ASSERT_TRUE(plan.eligible) << plan.reason;
+  EXPECT_EQ(plan.active, (std::vector<RankInterval>{{0, 15}, {26, 55},
+                                                    {96, 125}, {145, 160}}));
+  expect_ffwd_matches_full(exp);
+}
+
+TEST(FastForward, ByteIdentityConeAcrossPeriodicWrap) {
+  // The cone [5 - 14, 5 + 14] crosses rank 0: a head and a tail interval,
+  // with the ghost rim on both sides of the silent middle.
+  WaveExperiment exp = ring_experiment(
+      96, workload::Direction::bidirectional, workload::Boundary::periodic, 1);
+  exp.delays = workload::single_delay(5, 1, milliseconds(10.0));
+  const FastForwardPlan plan = plan_fast_forward(exp);
+  ASSERT_TRUE(plan.eligible) << plan.reason;
+  EXPECT_EQ(plan.active, (std::vector<RankInterval>{{0, 20}, {87, 96}}));
+  EXPECT_EQ(plan.active_count, 29u);
+  expect_ffwd_matches_full(exp);
+}
+
+TEST(FastForward, ByteIdentityPeriodicBidirectionalDistance2) {
+  // d = 2: the rim is two ranks deep on each side of the cone.
+  expect_ffwd_matches_full(ring_experiment(
+      128, workload::Direction::bidirectional, workload::Boundary::periodic,
+      2));
+}
+
+TEST(FastForward, ByteIdentityEndConeOverlapsDelayCone) {
+  // The delay at rank 10 sits inside the open chain's left end cone.
+  WaveExperiment exp = ring_experiment(
+      96, workload::Direction::bidirectional, workload::Boundary::open, 1);
+  exp.delays = workload::single_delay(10, 1, milliseconds(10.0));
+  const FastForwardPlan plan = plan_fast_forward(exp);
+  ASSERT_TRUE(plan.eligible) << plan.reason;
+  EXPECT_EQ(plan.active, (std::vector<RankInterval>{{0, 25}, {81, 96}}));
+  expect_ffwd_matches_full(exp);
+}
+
+// --- recycling: one runner across np, path and workload switches ---------
+
+sweep::SweepPoint scenario_point(const char* scenario, int np,
+                                 double noise_percent, const char* ffwd) {
+  const sweep::Scenario* s = sweep::find_scenario(scenario);
+  EXPECT_NE(s, nullptr) << scenario;
+  sweep::SweepSpec spec = s->spec;
+  if (np > 0) spec.np = {np};
+  spec.noise_E_percent = {noise_percent};
+  spec.ffwd = ffwd;
+  return sweep::expand(spec).front();
+}
+
+TEST(FastForward, RecycledRunnerMatchesFreshAcrossSwitches) {
+  // ffwd np=2048 -> noisy full np=256 -> ffwd np=2048 -> grid -> noise-free
+  // full: a reset cluster carries transport state, process tables and
+  // topology tables from a differently shaped previous point each time.
+  const std::vector<sweep::SweepPoint> sequence = {
+      scenario_point("scale_wave", 2048, 0.0, "force"),
+      scenario_point("scale_wave", 256, 5.0, "auto"),
+      scenario_point("scale_wave", 2048, 0.0, "force"),
+      scenario_point("grid2d_wave", 0, 0.0, "off"),
+      scenario_point("scale_wave", 256, 0.0, "off"),
+  };
+  WaveRunner runner;
+  std::uint64_t allocations_after_first_repeat = 0;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    for (const sweep::SweepPoint& pt : sequence) {
+      const WaveResult recycled = runner.run(pt.exp);
+      const WaveResult fresh = run_wave_experiment(pt.exp);
+      expect_traces_identical(recycled.trace, fresh.trace);
+      EXPECT_EQ(sweep::record_json_line(sweep::reduce(pt, recycled)),
+                sweep::record_json_line(sweep::reduce(pt, fresh)));
+    }
+    const std::uint64_t allocations =
+        runner.cluster()->transport_pool_stats().allocations;
+    if (repeat == 0)
+      allocations_after_first_repeat = allocations;
+    else
+      EXPECT_EQ(allocations, allocations_after_first_repeat)
+          << "transport pools still growing on repeat " << repeat;
+  }
+  // The ffwd points took the fast path, the rest did not.
+  EXPECT_GT(runner.run(sequence[0].exp).ffwd_skips, 0u);
+  EXPECT_EQ(runner.run(sequence[1].exp).ffwd_skips, 0u);
 }
 
 TEST(FastForward, SkipAccountingMatchesPlan) {

@@ -1,6 +1,8 @@
 // Tests for idle-period extraction and wave-front analysis on crafted traces.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/idle_wave.hpp"
 
 namespace iw::core {
@@ -223,6 +225,100 @@ TEST(AnalyzeWave, WaitsEndingBeforeInjectionAreIgnored) {
   const WaveAnalysis wave = analyze_wave(trace, probe);
   ASSERT_TRUE(wave.observations[0].reached);
   EXPECT_EQ(wave.observations[0].arrival, SimTime{20'000'000});
+}
+
+// --- first-wait memo over aliased rows -------------------------------------
+
+/// A fast-forward-shaped trace of two-segment rows: the injection on rank
+/// 0, distinct rows on ranks 1..1000 (rank 2 empty, its row address shared
+/// with rank 1's reached row), and every later rank aliased onto one of two
+/// shared rows — `shared`, or one holding only non-qualifying waits.
+mpi::Trace aliased_trace(int ranks, const std::vector<mpi::Segment>& shared) {
+  mpi::Trace trace(ranks);
+  trace.add_segment(1, wait_seg(12, 20));  // first row: slab offset 0
+  trace.add_segment(1, wait_seg(30, 31));
+  trace.add_segment(0, mpi::Segment{mpi::SegKind::injected,
+                                    SimTime{10'000'000}, SimTime{30'000'000},
+                                    0, Duration::zero()});
+  trace.add_segment(0, wait_seg(30, 40));
+  for (int r = 3; r <= 1000; ++r) {
+    const std::int64_t begin = 10 + r % 97;
+    trace.add_segment(r, wait_seg(0, 9));  // ends before the injection
+    trace.add_segment(r, wait_seg(begin, begin + r % 5));
+  }
+  for (const mpi::Segment& seg : shared) trace.add_segment(1001, seg);
+  trace.add_segment(1002, wait_seg(0, 9));
+  trace.add_segment(1002, wait_seg(40, 40));  // zero length
+  trace.alias_rank(1003, 1001);
+  const int sources[] = {1001, 1002};
+  trace.alias_periodic(1004, ranks, sources);
+  return trace;
+}
+
+/// The same contents with every row physically distinct.
+mpi::Trace dealiased(const mpi::Trace& trace) {
+  mpi::Trace copy(trace.ranks());
+  for (int r = 0; r < trace.ranks(); ++r) copy.import_rank(r, trace, r);
+  return copy;
+}
+
+void expect_same_analysis(const WaveAnalysis& a, const WaveAnalysis& b) {
+  ASSERT_EQ(a.observations.size(), b.observations.size());
+  for (std::size_t i = 0; i < a.observations.size(); ++i) {
+    const WaveObservation& x = a.observations[i];
+    const WaveObservation& y = b.observations[i];
+    ASSERT_EQ(x.rank, y.rank) << "observation " << i;
+    ASSERT_EQ(x.hops, y.hops) << "observation " << i;
+    ASSERT_EQ(x.reached, y.reached) << "observation " << i;
+    ASSERT_EQ(x.arrival, y.arrival) << "observation " << i;
+    ASSERT_EQ(x.amplitude, y.amplitude) << "observation " << i;
+  }
+  EXPECT_EQ(a.survival_hops, b.survival_hops);
+  EXPECT_EQ(a.reached_count, b.reached_count);
+  EXPECT_EQ(a.front_valid, b.front_valid);
+  EXPECT_EQ(a.speed_ranks_per_sec, b.speed_ranks_per_sec);
+  EXPECT_EQ(a.decay_us_per_rank, b.decay_us_per_rank);
+  EXPECT_EQ(a.front_rmse_us, b.front_rmse_us);
+  EXPECT_EQ(a.amplitude_rmse_us, b.amplitude_rmse_us);
+}
+
+void expect_memo_transparent(const std::vector<mpi::Segment>& shared,
+                             bool shared_reached) {
+  // 1000 distinct rows of one length (5000 in the de-aliased copy) collide
+  // in the memo table, so the comparison also covers slot collisions.
+  const mpi::Trace aliased = aliased_trace(5000, shared);
+  const mpi::Trace plain = dealiased(aliased);
+  for (const auto boundary :
+       {workload::Boundary::open, workload::Boundary::periodic}) {
+    for (const int direction : {+1, -1}) {
+      WaveProbe probe;
+      probe.injection_rank = 0;
+      probe.injection_time = SimTime{10'000'000};
+      probe.min_idle = milliseconds(1.0);
+      probe.boundary = boundary;
+      probe.direction = direction;
+      const WaveAnalysis a = analyze_wave(aliased, probe);
+      const WaveAnalysis b = analyze_wave(plain, probe);
+      expect_same_analysis(a, b);
+      if (boundary == workload::Boundary::periodic && direction == +1) {
+        ASSERT_GT(a.observations.size(), 1003u);
+        EXPECT_TRUE(a.observations[0].reached);   // rank 1
+        EXPECT_FALSE(a.observations[1].reached);  // rank 2, empty row
+        EXPECT_EQ(a.observations[1002].rank, 1003);  // aliased onto 1001
+        EXPECT_EQ(a.observations[1002].reached, shared_reached);
+      }
+    }
+  }
+}
+
+TEST(AnalyzeWave, MemoOverSharedRowWithQualifyingWait) {
+  expect_memo_transparent({wait_seg(5, 6), wait_seg(60, 75)},
+                          /*shared_reached=*/true);
+}
+
+TEST(AnalyzeWave, MemoOverSharedRowWithoutQualifyingWait) {
+  expect_memo_transparent({wait_seg(0, 9), wait_seg(50, 50)},
+                          /*shared_reached=*/false);
 }
 
 }  // namespace
