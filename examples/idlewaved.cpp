@@ -4,8 +4,9 @@
 //
 // Accepts campaign submissions over a Unix-domain socket (line-delimited
 // JSON: submit | status | cancel | results | shutdown — see
-// src/service/protocol.hpp), schedules queued points fair-share across
-// clients onto the sweep worker pool, streams SweepRecord JSONL back
+// src/service/protocol.hpp), computes queued points one at a time,
+// fair-share across clients, on long-lived worker threads (each recycling
+// one simulated cluster from point to point), streams SweepRecord JSONL back
 // incrementally, and never recomputes a point two campaigns share: completed
 // points live in a content-addressed cache keyed by the canonical hash of
 // (expanded point, seed, record-schema version). A cache hit replays the
@@ -13,14 +14,14 @@
 //
 // Flags:
 //   --socket=PATH        socket path (required; one daemon per path)
-//   --threads=N          worker threads per scheduled batch (default 1)
-//   --batch-points=N     max points per scheduling decision (default 8)
+//   --threads=N          long-lived worker threads (default 1)
 //   --max-points=N       admission: max queued points per client
 //   --max-jobs=N         admission: max open jobs per client
 //   --metrics-json=PATH  write a unified metrics snapshot at shutdown
 //
 // The daemon runs in the foreground and logs to stdout; stop it with the
 // protocol's "shutdown" verb (idlewave_client --shutdown) or SIGINT/SIGTERM.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -44,8 +45,8 @@ void handle_signal(int) {
 
 int daemon_main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  cli.allow_only({"socket", "threads", "batch-points", "max-points",
-                  "max-jobs", "metrics-json"});
+  cli.allow_only(
+      {"socket", "threads", "max-points", "max-jobs", "metrics-json"});
   const std::string socket_path = cli.get_or("socket", std::string{});
   if (socket_path.empty())
     throw std::runtime_error("--socket=PATH is required");
@@ -55,8 +56,6 @@ int daemon_main(int argc, char** argv) {
   options.socket_path = socket_path;
   options.service.threads =
       static_cast<int>(cli.get_or("threads", std::int64_t{1}));
-  options.service.batch_points = static_cast<std::size_t>(
-      cli.get_or("batch-points", std::int64_t{8}));
   options.service.limits.max_points_per_client = static_cast<std::size_t>(
       cli.get_or("max-points", static_cast<std::int64_t>(
                                    service::QueueLimits{}.max_points_per_client)));
@@ -71,10 +70,10 @@ int daemon_main(int argc, char** argv) {
   std::signal(SIGTERM, handle_signal);
 
   server.start();
-  std::cout << "idlewaved: listening on " << socket_path << " ("
-            << options.service.threads << " worker thread"
-            << (options.service.threads == 1 ? "" : "s") << ", batches of "
-            << options.service.batch_points << " points)" << std::endl;
+  const int workers = std::max(1, options.service.threads);
+  std::cout << "idlewaved: listening on " << socket_path << " (" << workers
+            << " worker thread" << (workers == 1 ? "" : "s")
+            << ", one point per decision)" << std::endl;
   server.wait();
   g_server = nullptr;
   std::cout << "idlewaved: shut down\n" << server.service().status_json()

@@ -1,7 +1,6 @@
 #include "service/queue.hpp"
 
 #include <cassert>
-#include <limits>
 
 namespace iw::service {
 
@@ -46,8 +45,7 @@ void JobQueue::open(const std::string& client, std::uint64_t job, int priority,
   c.load += pending + reserved;
 }
 
-bool JobQueue::decide(std::size_t max_points, Claim& out) {
-  if (max_points == 0) return false;
+bool JobQueue::decide(Claim& out) {
   // Pass 1: the runnable client with the smallest lifetime charge (ties by
   // name — clients_ is an ordered map, so the scan order is the tiebreak).
   const ClientEntry* best_client = nullptr;
@@ -78,25 +76,23 @@ bool JobQueue::decide(std::size_t max_points, Claim& out) {
     }
   }
   assert(best != nullptr);
-  const std::size_t n = best->pending < max_points ? best->pending : max_points;
   out.job = best_id;
-  out.first = best->cursor;
-  out.count = n;
-  best->cursor += n;
-  best->pending -= n;
-  best->claimed += n;
-  client_entry(best->client).charged += n;
+  out.slot = best->cursor;
+  best->cursor += 1;
+  best->pending -= 1;
+  best->claimed += 1;
+  client_entry(best->client).charged += 1;
   decisions_ += 1;
   return true;
 }
 
-void JobQueue::complete_claimed(std::uint64_t job, std::size_t count) {
+void JobQueue::complete_claimed(std::uint64_t job) {
   JobEntry& e = entry(job);
-  assert(count <= e.claimed);
-  e.claimed -= count;
+  assert(e.claimed > 0);
+  e.claimed -= 1;
   ClientEntry& c = client_entry(e.client);
-  assert(count <= c.load);
-  c.load -= count;
+  assert(c.load > 0);
+  c.load -= 1;
 }
 
 void JobQueue::complete_reserved(std::uint64_t job, std::size_t count) {

@@ -8,13 +8,14 @@
 // deterministic and synchronous, which is what makes the starvation bound a
 // unit-testable invariant (count scheduling decisions, not seconds).
 //
-// Fair share: every claim charges its client `count` points; decide() always
-// serves the active client with the smallest lifetime charge (ties broken by
-// client name, so the order is total). A client that queues 10k points
-// cannot starve a late 100-point client: the late client's charge starts at
-// the minimum, so it is served at least every other decision until it
-// catches up — its campaign completes within (active_clients x its_points)
-// decisions of its arrival.
+// Fair share: every decision claims ONE pending slot and charges its client
+// one point; decide() always serves the active client with the smallest
+// lifetime charge (ties broken by client name, so the order is total). A
+// client that queues 10k points cannot starve a late 100-point client: the
+// late client's charge starts at the minimum, so it wins every decision
+// until it catches up and at least one in every active_clients decisions
+// after — its campaign completes within (active_clients x its_points)
+// single-point decisions of its arrival.
 //
 // Admission: a submission is rejected when the client's uncompleted points
 // plus the new campaign's full expansion would exceed the per-client point
@@ -43,12 +44,11 @@ struct Admission {
   std::string message;
 };
 
-/// One scheduling decision's claim: `count` pending slots of job `job`
-/// starting at slot offset `first`.
+/// One scheduling decision's claim: the pending slot at offset `slot` of
+/// job `job`.
 struct Claim {
   std::uint64_t job = 0;
-  std::size_t first = 0;
-  std::size_t count = 0;
+  std::size_t slot = 0;
 };
 
 class JobQueue {
@@ -66,14 +66,14 @@ class JobQueue {
   void open(const std::string& client, std::uint64_t job, int priority,
             std::size_t pending, std::size_t reserved);
 
-  /// One fair-share scheduling decision; claims up to `max_points`
-  /// contiguous pending slots of the chosen job. False when nothing is
-  /// runnable. Every call that returns true counts as one decision.
-  [[nodiscard]] bool decide(std::size_t max_points, Claim& out);
+  /// One fair-share scheduling decision; claims the next pending slot of
+  /// the chosen job (slots are claimed in offset order). False when nothing
+  /// is runnable. Every call that returns true counts as one decision.
+  [[nodiscard]] bool decide(Claim& out);
 
-  /// `count` claimed slots of `job` finished computing (or were abandoned
-  /// by a cancelled batch); releases their quota.
-  void complete_claimed(std::uint64_t job, std::size_t count);
+  /// One claimed slot of `job` finished computing (or failed); releases its
+  /// quota.
+  void complete_claimed(std::uint64_t job);
 
   /// `count` reserved slots of `job` were filled from the cache.
   void complete_reserved(std::uint64_t job, std::size_t count);
@@ -83,11 +83,11 @@ class JobQueue {
   void promote_reserved(std::uint64_t job, std::size_t count);
 
   /// Cancels the unclaimed work of `job`. Returns how many pending +
-  /// reserved slots were reclaimed; slots already claimed by a running
-  /// batch drain through complete_claimed() when the batch returns.
+  /// reserved slots were reclaimed; slots already claimed by a worker
+  /// drain through complete_claimed() when their point finishes.
   std::size_t cancel(std::uint64_t job);
 
-  /// Claimed slots of `job` still owned by a running batch.
+  /// Claimed slots of `job` still being computed.
   [[nodiscard]] std::size_t claimed(std::uint64_t job) const;
 
   /// Drops a fully-drained job (all slots completed or reclaimed).
@@ -107,7 +107,7 @@ class JobQueue {
     std::uint64_t seq = 0;    ///< admission order (within-priority FIFO)
     std::size_t cursor = 0;   ///< next unclaimed pending-slot offset
     std::size_t pending = 0;  ///< unclaimed slots
-    std::size_t claimed = 0;  ///< slots owned by a running batch
+    std::size_t claimed = 0;  ///< slots being computed by workers
     std::size_t reserved = 0; ///< slots parked on in-flight cache keys
     bool cancelled = false;
   };

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <exception>
@@ -44,8 +45,21 @@ void Server::start() {
   wake_write_.reset(pipe_fds[1]);
   listen_fd_ = unix_listen(options_.socket_path);
   started_ = true;
-  sched_thread_ = std::thread([this] { service_.run_loop(); });
   io_thread_ = std::thread([this] { io_loop(); });
+}
+
+void Server::start_workers() {
+  if (!workers_.empty()) return;
+  try {
+    const int workers = std::max(1, options_.service.threads);
+    for (int i = 0; i < workers; ++i)
+      workers_.emplace_back([this] { service_.run_loop(); });
+  } catch (...) {
+    service_.stop();
+    for (std::thread& t : workers_) t.join();
+    workers_.clear();
+    throw;
+  }
 }
 
 void Server::stop() {
@@ -56,7 +70,9 @@ void Server::stop() {
 
 void Server::wait() {
   if (io_thread_.joinable()) io_thread_.join();
-  if (sched_thread_.joinable()) sched_thread_.join();
+  // Only the IO thread spawns workers, so after its join workers_ is final.
+  for (std::thread& t : workers_)
+    if (t.joinable()) t.join();
 }
 
 void Server::io_loop() {
@@ -94,6 +110,15 @@ void Server::io_loop() {
       std::string line;
       while (!c.dead && !stopping_.load() && c.in.next_line(line))
         handle_line(c, line);
+      if (!c.dead && c.in.overflowed()) {
+        [[maybe_unused]] const bool sent = send_line(
+            c.fd.get(),
+            error_response("bad-request",
+                           "request line longer than " +
+                               std::to_string(LineBuffer::kMaxLine) +
+                               " bytes"));
+        c.dead = true;
+      }
     }
     if ((fds[0].revents & POLLIN) != 0) {
       const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
@@ -127,6 +152,15 @@ void Server::handle_line(Conn& conn, const std::string& line) {
   }
   switch (req.type) {
     case RequestType::submit: {
+      try {
+        start_workers();
+      } catch (const std::exception& e) {
+        // No point could ever run: refuse the job and shut down.
+        [[maybe_unused]] const bool sent =
+            send_line(conn.fd.get(), error_response("internal", e.what()));
+        stopping_.store(true);
+        return;
+      }
       const SubmitResult r =
           service_.submit(req.client, req.priority, req.spec);
       if (!r.accepted) {
@@ -152,8 +186,8 @@ void Server::handle_line(Conn& conn, const std::string& line) {
     }
     case RequestType::cancel: {
       // Any connection may cancel (the socket is a local trust boundary);
-      // the submitting connection's stream receives every record the batch
-      // completed, then the terminal "cancelled" line.
+      // the submitting connection's stream receives every record completed
+      // before the cancel took effect, then the terminal "cancelled" line.
       const bool ok = service_.cancel(req.job);
       if (!send_line(conn.fd.get(), cancel_ack_response(req.job, ok)))
         conn.dead = true;

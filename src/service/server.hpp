@@ -2,15 +2,19 @@
 //
 // One poll()-driven IO thread owns the AF_UNIX listener, every client
 // connection, and a self-pipe the CampaignService tickles (via its
-// on_output hook) whenever a job gained ready lines; one worker thread
-// runs the service's scheduling loop. All campaign logic lives in the
-// service — this class only frames lines, checks job ownership per
-// connection, and relays the service's ready output verbatim (which is
-// what keeps the stream byte-identical to an in-process drain()).
+// on_output hook) whenever a job gained ready lines. The first submission
+// starts max(1, threads) long-lived worker threads, each running the
+// service's run_loop(): one claimed point at a time on its own WaveRunner
+// (a daemon that is never sent work never pays for them). All campaign logic
+// lives in the service — this class only frames lines, checks job
+// ownership per connection, and relays the service's ready output verbatim
+// (which is what keeps the stream byte-identical to an in-process drain()).
 //
 // A connection that drops mid-stream has each of its jobs abandoned:
-// queue slots free at once, the running batch stops at its next point
-// boundary, and completed physics stays in the shared cache.
+// queue slots free at once, points already claimed finish and land in the
+// shared cache. A request line longer than LineBuffer::kMaxLine gets a
+// "bad-request" error and the connection is closed, so no client can grow
+// the daemon's memory without bound.
 #pragma once
 
 #include <atomic>
@@ -37,15 +41,15 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and spawns the IO and scheduler threads. Throws on
-  /// bind/listen failure.
+  /// Binds the socket and spawns the IO thread. Throws on bind/listen
+  /// failure.
   void start();
 
   /// Requests shutdown (idempotent; also triggered by the protocol's
-  /// "shutdown" verb). Running batches stop at their next point boundary.
+  /// "shutdown" verb). Workers finish the point they are computing.
   void stop();
 
-  /// Blocks until the server has shut down and both threads joined.
+  /// Blocks until the server has shut down and every thread joined.
   void wait();
 
   [[nodiscard]] const std::string& socket_path() const {
@@ -63,6 +67,9 @@ class Server {
   };
 
   void io_loop();
+  /// IO thread, first submission: spawns the worker threads. If a spawn
+  /// throws, the ones already started are stopped and joined first.
+  void start_workers();
   void handle_line(Conn& conn, const std::string& line);
   void drain_streams(Conn& conn);
   void disconnect(Conn& conn);
@@ -78,7 +85,7 @@ class Server {
   ScopedFd wake_write_;
   std::vector<Conn> conns_;
   std::thread io_thread_;
-  std::thread sched_thread_;
+  std::vector<std::thread> workers_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 };

@@ -1,14 +1,15 @@
 #include "service/service.hpp"
 
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "service/protocol.hpp"
 #include "support/csv.hpp"
 #include "sweep/record.hpp"
-#include "sweep/runner.hpp"
 
 namespace iw::service {
 namespace {
@@ -153,8 +154,8 @@ std::string CampaignService::status_json() const {
     if (!first) clients += ',';
     first = false;
     const double rate =
-        s.batch_seconds > 0.0
-            ? static_cast<double>(s.computed) / s.batch_seconds
+        s.compute_seconds > 0.0
+            ? static_cast<double>(s.computed) / s.compute_seconds
             : 0.0;
     clients += json_str(name);
     clients += ':';
@@ -175,24 +176,6 @@ std::string CampaignService::status_json() const {
        {"clients", clients}});
 }
 
-void CampaignService::client_gone(const std::string& client) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& [id, j] : jobs_) {
-      if (j->client != client || j->abandoned) continue;
-      j->abandoned = true;
-      j->out.clear();
-      if (j->finished || j->cancelled) continue;
-      reclaim_unfinished(*j);
-      if (options_.metrics)
-        options_.metrics->add(obs::MetricId::service_jobs_cancelled, 1);
-      check_finalize(*j);
-    }
-    publish_gauges();
-  }
-  cv_.notify_all();
-}
-
 void CampaignService::abandon(std::uint64_t job) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -211,65 +194,49 @@ void CampaignService::abandon(std::uint64_t job) {
   cv_.notify_all();
 }
 
-bool CampaignService::pump() {
-  std::vector<sweep::SweepPoint> batch;
-  std::vector<std::size_t> point_idx;
+bool CampaignService::pump() { return step(pump_lab_); }
+
+bool CampaignService::step(core::WaveRunner& lab) {
+  sweep::SweepPoint pt;
   std::uint64_t jid = 0;
-  const std::atomic<bool>* cancel = nullptr;
+  std::size_t pi = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (batch_in_flight_) return false;
     Claim c;
-    if (!queue_.decide(options_.batch_points, c)) return false;
+    if (!queue_.decide(c)) return false;
     if (options_.metrics)
       options_.metrics->add(obs::MetricId::service_sched_decisions, 1);
     Job& j = *jobs_.at(c.job);
     jid = j.id;
-    cancel = &j.cancel_flag;
-    batch.reserve(c.count);
-    for (std::size_t off = c.first; off < c.first + c.count; ++off) {
-      const std::size_t pi = j.compute_order[off];
-      j.slots[pi] = Job::Slot::claimed;
-      batch.push_back(j.points[pi]);
-      point_idx.push_back(pi);
-    }
-    batch_in_flight_ = true;
+    pi = j.compute_order[c.slot];
+    j.slots[pi] = Job::Slot::claimed;
+    pt = j.points[pi];
     publish_gauges();
   }
   // The physics runs unlocked: submit/cancel/status stay responsive, and
   // the test hook below may legally call back into the service.
-  sweep::RunnerOptions ro;
-  ro.threads = options_.threads;
-  ro.cancel = cancel;
-  if (options_.on_batch_point != nullptr) {
-    auto hook = options_.on_batch_point;
-    void* ctx = options_.on_batch_ctx;
-    const std::uint64_t hook_job = jid;
-    ro.on_progress = [hook, ctx, hook_job](std::size_t done, std::size_t) {
-      hook(ctx, hook_job, done);
-    };
-  }
-  bool failed = false;
+  std::optional<sweep::SweepRecord> rec;
   std::string fail_message;
-  sweep::CampaignResult res;
+  const auto begin = std::chrono::steady_clock::now();
   try {
-    res = sweep::run_campaign(batch, ro);
+    rec = sweep::reduce(pt, lab.run(pt.exp));
   } catch (const std::exception& e) {
-    failed = true;
     fail_message = e.what();
+    lab = core::WaveRunner{};  // don't recycle a cluster a throw left behind
   }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  std::size_t computed = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    batch_in_flight_ = false;
     Job& j = *jobs_.at(jid);
     obs::MetricsRegistry* m = options_.metrics;
-    std::map<std::uint64_t, std::size_t> by_index;
-    for (const std::size_t pi : point_idx) by_index[j.points[pi].index] = pi;
-    for (const sweep::SweepRecord& rec : res.records) {
-      const std::size_t pi = by_index.at(rec.index);
-      const std::string& key = j.keys[pi];
-      cache_.insert(key, rec);
-      fill_record(j, pi, rec);
+    const std::string& key = j.keys[pi];
+    queue_.complete_claimed(jid);
+    if (rec) {
+      cache_.insert(key, *rec);
+      fill_record(j, pi, *rec);
       j.computed += 1;
       total_computed_ += 1;
       stats_[j.client].computed += 1;
@@ -278,7 +245,7 @@ bool CampaignService::pump() {
       if (w != waiters_.end()) {
         for (const Owner& o : w->second) {
           Job& wj = *jobs_.at(o.job);
-          fill_record(wj, o.point, rec);
+          fill_record(wj, o.point, *rec);
           wj.cache_hits += 1;
           queue_.complete_reserved(o.job, 1);
           if (m) m->add(obs::MetricId::service_cache_hits, 1);
@@ -287,37 +254,38 @@ bool CampaignService::pump() {
         waiters_.erase(w);
       }
       owners_.erase(key);
-    }
-    queue_.complete_claimed(jid, point_idx.size());
-    // Slots the batch never finished (cancelled or failed mid-run): reclaim
-    // them and hand their keys to the oldest waiter, if any.
-    for (const std::size_t pi : point_idx) {
-      if (j.slots[pi] != Job::Slot::claimed) continue;
+    } else {
+      // The point failed: hand its key to the oldest waiter, if any, and
+      // end the job with an error.
       j.slots[pi] = Job::Slot::reclaimed;
-      release_ownership(j.keys[pi]);
+      release_ownership(key);
+      if (!j.finished) {
+        j.terminal_error = fail_message;
+        if (!j.cancelled) reclaim_unfinished(j);
+      }
     }
-    if (failed && !j.finished) {
-      j.terminal_error = fail_message;
-      if (!j.cancelled) reclaim_unfinished(j);
-    }
-    stats_[j.client].batch_seconds += res.seconds;
-    total_batch_seconds_ += res.seconds;
+    stats_[j.client].compute_seconds += seconds;
+    total_compute_seconds_ += seconds;
+    computed = j.computed;
     check_finalize(j);
     publish_gauges();
   }
+  if (rec && options_.on_batch_point != nullptr)
+    options_.on_batch_point(options_.on_batch_ctx, jid, computed);
   cv_.notify_all();
   if (options_.on_output) options_.on_output(options_.on_output_ctx);
   return true;
 }
 
 void CampaignService::run_loop() {
+  core::WaveRunner lab;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || runnable_locked(); });
+      cv_.wait(lk, [this] { return stop_ || queue_.queue_depth() > 0; });
       if (stop_) return;
     }
-    pump();
+    step(lab);
   }
 }
 
@@ -336,9 +304,6 @@ std::size_t CampaignService::cache_size() const {
 
 void CampaignService::reclaim_unfinished(Job& j) {
   j.cancelled = true;
-  // Seen by run_campaign's workers: a running batch stops claiming points
-  // at the next boundary; everything it completed is still delivered.
-  j.cancel_flag.store(true, std::memory_order_relaxed);
   for (std::size_t pi = 0; pi < j.points.size(); ++pi) {
     if (j.slots[pi] == Job::Slot::pending) {
       j.slots[pi] = Job::Slot::reclaimed;
@@ -414,7 +379,7 @@ void CampaignService::check_finalize(Job& j) {
   if (j.finished) return;
   const std::size_t n = j.points.size();
   if (j.cancelled) {
-    if (queue_.claimed(j.id) != 0) return;  // a batch is still draining
+    if (queue_.claimed(j.id) != 0) return;  // a worker is still computing
     // Records a cancellation left beyond the contiguous streamed prefix —
     // same flush the runner does for its sinks; no completed record is lost.
     for (std::size_t pi = j.next_emit; pi < n; ++pi) {
@@ -446,13 +411,9 @@ void CampaignService::publish_gauges() {
   m->set(obs::MetricId::service_clients_active,
          static_cast<double>(queue_.clients_active()));
   m->set(obs::MetricId::service_points_per_sec,
-         total_batch_seconds_ > 0.0
-             ? static_cast<double>(total_computed_) / total_batch_seconds_
+         total_compute_seconds_ > 0.0
+             ? static_cast<double>(total_computed_) / total_compute_seconds_
              : 0.0);
-}
-
-bool CampaignService::runnable_locked() const {
-  return !batch_in_flight_ && queue_.queue_depth() > 0;
 }
 
 }  // namespace iw::service

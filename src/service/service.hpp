@@ -3,18 +3,17 @@
 // Transport-free heart of the daemon, modeled on the slurmctld controller /
 // queue split: the server (service/server.hpp) owns sockets and framing,
 // this class owns everything else — admission, the fair-share JobQueue,
-// sharding claimed batches onto the existing run_campaign worker pool, the
-// content-addressed PointCache, and per-job output streams of ready-to-send
-// protocol lines. Tests drive it in-process (no fork/exec, no sockets) and
-// get the exact bytes a socket client would.
+// computing claimed points, the content-addressed PointCache, and per-job
+// output streams of ready-to-send protocol lines. Tests drive it in-process
+// (no fork/exec, no sockets) and get the exact bytes a socket client would.
 //
-// Threading: every public method locks the one service mutex. Batches run
-// on whichever thread calls pump()/run_loop() — the daemon dedicates one
-// worker thread to run_loop() — and the physics itself runs UNLOCKED, so
-// submit/cancel/status stay responsive during compute; a running batch is
-// stopped at the next point boundary via the job's cancellation flag. The
-// metrics registry (not thread-safe) is only ever touched under the
-// service mutex, never handed to run_campaign's workers.
+// Threading: every public method locks the one service mutex. step()
+// claims ONE pending slot under the lock, computes it UNLOCKED on the
+// caller's WaveRunner (whose recycled Cluster carries over from point to
+// point), then integrates the record under the lock. The daemon runs
+// run_loop() on long-lived worker threads; tests call pump(). A claimed
+// point always runs to completion; cancel() reclaims unclaimed slots. The
+// metrics registry (not thread-safe) is only touched under the lock.
 //
 // Dedup has three tiers per submitted point:
 //   cache hit  — a completed record exists; replayed instantly (the record
@@ -22,13 +21,15 @@
 //                to the requesting campaign's point index).
 //   in-flight  — another job owns the same key but hasn't finished it; the
 //                point parks as a "reserved" slot and is filled when the
-//                owner's batch lands. If the owner cancels first, the
+//                owner's point lands. If the owner cancels first, the
 //                oldest waiter is promoted to owner and computes it.
 //   compute    — this job becomes the key's owner; the point enters the
 //                fair-share queue.
+//
+// Throughput (status `points_per_sec` per client, service.points_per_sec
+// overall) is computed points per worker-second of compute.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "service/cache.hpp"
 #include "service/queue.hpp"
@@ -45,11 +47,9 @@
 namespace iw::service {
 
 struct ServiceOptions {
-  /// Worker threads run_campaign shards each claimed batch across.
+  /// Long-lived worker threads the Server runs run_loop() on (at least
+  /// one). The service itself computes on whichever threads call it.
   int threads = 1;
-  /// Max points per scheduling decision (one run_campaign call). Small
-  /// batches interleave clients finely; large ones amortize pool spin-up.
-  std::size_t batch_points = 8;
   QueueLimits limits;
   /// Optional unified metrics registry; written only under the service
   /// mutex (the registry is not thread-safe). Non-owning.
@@ -59,11 +59,12 @@ struct ServiceOptions {
   /// pointer: src/service is a lint hot tree (no std::function).
   void (*on_output)(void* ctx) = nullptr;
   void* on_output_ctx = nullptr;
-  /// Test hook: called after each completed point of a running batch, from
-  /// run_campaign's progress callback, OUTSIDE the service lock — a test
-  /// can cancel() the job at an exact point boundary from inside it.
+  /// Test hook: called on the computing worker, OUTSIDE the service lock,
+  /// after each computed point has been integrated; `computed` is the job's
+  /// count of computed points so far (1 on its first). A test can cancel()
+  /// the job at an exact point boundary from inside it.
   void (*on_batch_point)(void* ctx, std::uint64_t job,
-                         std::size_t done_in_batch) = nullptr;
+                         std::size_t computed) = nullptr;
   void* on_batch_ctx = nullptr;
 };
 
@@ -90,10 +91,10 @@ class CampaignService {
   SubmitResult submit(const std::string& client, int priority,
                       const sweep::SweepSpec& spec);
 
-  /// Cancels a job: unclaimed and reserved work is reclaimed instantly, a
-  /// running batch stops at its next point boundary, and every record
-  /// completed before the stop is still delivered ahead of the terminal
-  /// "cancelled" line. False if the job is unknown or already finished.
+  /// Cancels a job: unclaimed and reserved work is reclaimed instantly,
+  /// points already claimed by a worker run to completion, and every record
+  /// completed before the terminal "cancelled" line is still delivered
+  /// ahead of it. False if the job is unknown or already finished.
   bool cancel(std::uint64_t job);
 
   /// Moves the job's ready output lines (record lines in ascending point
@@ -112,27 +113,23 @@ class CampaignService {
   /// points/sec).
   [[nodiscard]] std::string status_json() const;
 
-  /// The client's connection went away: cancel its unfinished jobs and
-  /// discard their output streams. Queue slots free immediately; completed
-  /// physics stays in the cache.
-  void client_gone(const std::string& client);
-
-  /// Per-job form of client_gone — the daemon calls this for each job a
-  /// disconnecting connection owned (the fair-share client name may be
-  /// shared by other live connections).
+  /// The job's connection went away: cancel its unfinished work and
+  /// discard its output stream. Queue slots free immediately; completed
+  /// physics stays in the cache. Per job, not per client name: the
+  /// fair-share client name may be shared by other live connections.
   void abandon(std::uint64_t job);
 
-  /// Runs one scheduling decision and its batch to completion. False when
-  /// nothing is runnable. Tests call this directly for determinism.
+  /// step() on a runner the service owns: one scheduling decision and its
+  /// point, computed on the calling thread. False when nothing is runnable.
+  /// Tests call this directly for determinism; not for concurrent callers.
   bool pump();
 
-  /// pump() until stop(), sleeping while idle. The daemon runs this on a
-  /// dedicated worker thread.
+  /// step() on a runner of its own until stop(), sleeping while idle. The
+  /// daemon runs one per worker thread.
   void run_loop();
   void stop();
 
   [[nodiscard]] std::size_t cache_size() const;
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
  private:
   struct Job {
@@ -163,17 +160,16 @@ class CampaignService {
     std::size_t cache_hits = 0;  ///< submit-time hits + waiter fills
     std::size_t computed = 0;
     std::vector<std::string> out;  ///< ready-to-send protocol lines
-    std::atomic<bool> cancel_flag{false};
     bool cancelled = false;
     bool finished = false;
     bool abandoned = false;  ///< client disconnected; output is discarded
-    /// Non-empty when a batch threw: the terminal line becomes an error
+    /// Non-empty when a point threw: the terminal line becomes an error
     /// response instead of "cancelled".
     std::string terminal_error;
   };
   struct ClientStats {
     std::uint64_t computed = 0;
-    double batch_seconds = 0.0;
+    double compute_seconds = 0.0;  ///< worker-seconds spent on its points
   };
   /// Who will compute a key that is not yet cached.
   struct Owner {
@@ -181,6 +177,9 @@ class CampaignService {
     std::size_t point = 0;
   };
 
+  /// Claims one pending slot, computes it unlocked on `lab`, integrates
+  /// the record. False when nothing is runnable.
+  bool step(core::WaveRunner& lab);
   Job* find_job(std::uint64_t id);
   const Job* find_job(std::uint64_t id) const;
   /// Marks the job cancelled and reclaims its unclaimed pending and
@@ -191,7 +190,6 @@ class CampaignService {
   void release_ownership(const std::string& key);
   void check_finalize(Job& j);
   void publish_gauges();
-  [[nodiscard]] bool runnable_locked() const;
 
   ServiceOptions options_;
   mutable std::mutex mu_;
@@ -204,9 +202,9 @@ class CampaignService {
   std::map<std::string, ClientStats> stats_;
   std::uint64_t next_job_ = 1;
   std::uint64_t total_computed_ = 0;
-  double total_batch_seconds_ = 0.0;
+  double total_compute_seconds_ = 0.0;
   bool stop_ = false;
-  bool batch_in_flight_ = false;  ///< one batch at a time (single run_loop)
+  core::WaveRunner pump_lab_;  ///< pump()'s runner
 };
 
 }  // namespace iw::service

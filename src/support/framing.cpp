@@ -94,6 +94,11 @@ bool send_line(int fd, const std::string& line) {
 
 bool LineBuffer::next_line(std::string& line) {
   const std::size_t pos = buf_.find('\n');
+  if ((pos == std::string::npos ? buf_.size() : pos) > kMaxLine) {
+    overflowed_ = true;
+    std::string().swap(buf_);
+    return false;
+  }
   if (pos == std::string::npos) return false;
   line.assign(buf_, 0, pos);
   buf_.erase(0, pos + 1);

@@ -6,7 +6,7 @@
 // the client and the tests share one implementation. Sends use MSG_NOSIGNAL
 // (a peer that vanished mid-stream must surface as an error return, never
 // as SIGPIPE killing the daemon), and the LineBuffer tolerates arbitrary
-// read fragmentation.
+// read fragmentation but caps the length of one line.
 #pragma once
 
 #include <cstddef>
@@ -52,19 +52,35 @@ class ScopedFd {
 [[nodiscard]] bool send_line(int fd, const std::string& line);
 
 /// Reassembles '\n'-terminated lines from arbitrary read fragments.
+///
+/// A line longer than kMaxLine (without its '\n') is an overrun, detected
+/// by next_line(): the buffer drops its contents, ignores every later
+/// feed(), and reports overflowed(). A caller that drains next_line() after
+/// each feed() so never holds more than kMaxLine plus one read, whatever
+/// the peer sends. Lines before the overrun are still returned.
 class LineBuffer {
  public:
-  void feed(const char* data, std::size_t size) { buf_.append(data, size); }
+  /// 1 MiB: over a thousand times the largest catalog submit line (under
+  /// 600 B), with room for long hand-written axis lists.
+  static constexpr std::size_t kMaxLine = std::size_t{1} << 20;
+
+  void feed(const char* data, std::size_t size) {
+    if (!overflowed_) buf_.append(data, size);
+  }
 
   /// Extracts the next complete line (without its '\n') into `line`.
-  /// Returns false when no complete line is buffered yet.
+  /// Returns false when no complete line is buffered yet, or on overrun.
   bool next_line(std::string& line);
+
+  /// True once a line longer than kMaxLine was seen.
+  [[nodiscard]] bool overflowed() const { return overflowed_; }
 
   /// Bytes buffered but not yet terminated by '\n'.
   [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
 
  private:
   std::string buf_;
+  bool overflowed_ = false;
 };
 
 }  // namespace iw

@@ -38,11 +38,12 @@ sweep::SweepSpec quick_spec(std::vector<double> delays) {
   return spec;
 }
 
-/// Pumps until the queue drains (bounded; every pump call runs one batch).
+/// Pumps until the queue drains (bounded; every pump call computes one
+/// point).
 void pump_dry(CampaignService& service) {
   for (int i = 0; i < 64; ++i)
     if (!service.pump()) return;
-  FAIL() << "service did not drain within 64 batches";
+  FAIL() << "service did not drain within 64 points";
 }
 
 /// Splits drained lines into (record lines, control lines).
@@ -88,8 +89,6 @@ std::string joined(const std::vector<std::string>& lines) {
 TEST(ServiceE2E, OverlappingCampaignsShareEveryCommonPoint) {
   obs::MetricsRegistry metrics;
   ServiceOptions options;
-  options.threads = 2;
-  options.batch_points = 2;
   options.metrics = &metrics;
   CampaignService service(options);
 
@@ -140,10 +139,7 @@ TEST(ServiceE2E, OverlappingCampaignsShareEveryCommonPoint) {
 }
 
 TEST(ServiceE2E, CachedReplayIsByteIdenticalToFreshRun) {
-  ServiceOptions options;
-  options.threads = 2;
-  options.batch_points = 8;
-  CampaignService service(options);
+  CampaignService service;
   const sweep::SweepSpec spec = quick_spec({6.0, 12.0});
 
   const SubmitResult first = service.submit("a", 0, spec);
@@ -167,13 +163,18 @@ TEST(ServiceE2E, CachedReplayIsByteIdenticalToFreshRun) {
 }
 
 TEST(ServiceE2E, StreamOrderIsAscendingAndContiguous) {
-  ServiceOptions options;
-  options.batch_points = 1;  // worst case: one point per decision
-  CampaignService service(options);
+  CampaignService service;
   const SubmitResult r =
       service.submit("a", 0, quick_spec({3.0, 6.0, 9.0, 12.0}));
   ASSERT_TRUE(r.accepted);
-  pump_dry(service);
+  // Every decision computes one point, and each lands as one record line.
+  for (std::size_t done = 1; done <= 4; ++done) {
+    ASSERT_TRUE(service.pump());
+    std::vector<std::string> partial;
+    ASSERT_TRUE(service.results_so_far(r.job, partial));
+    EXPECT_EQ(partial.size(), done);
+  }
+  EXPECT_FALSE(service.pump());
   std::vector<std::string> lines;
   ASSERT_TRUE(service.drain(r.job, lines));
   const Stream s = split(lines);
@@ -197,6 +198,50 @@ TEST(ServiceE2E, StatusReportsQueueAndClients) {
   EXPECT_EQ(after.find("queue_depth")->number, 0.0);
   EXPECT_EQ(after.find("jobs_open")->number, 0.0);
   EXPECT_EQ(after.find("points_computed")->number, 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Fair share is per point: with one slot per decision, two clients with
+// equal charges alternate point by point (ties go to the smaller name), so
+// a client that submitted first cannot hold the workers for a whole chunk
+// of its campaign.
+// ---------------------------------------------------------------------------
+
+struct JobLog {
+  std::vector<std::uint64_t> jobs;
+  std::vector<std::size_t> computed;
+};
+
+void log_point(void* ctx, std::uint64_t job, std::size_t computed) {
+  auto* log = static_cast<JobLog*>(ctx);
+  log->jobs.push_back(job);
+  log->computed.push_back(computed);
+}
+
+TEST(ServiceE2E, FairShareInterleavesClientsPointByPoint) {
+  JobLog log;
+  ServiceOptions options;
+  options.on_batch_point = &log_point;
+  options.on_batch_ctx = &log;
+  CampaignService service(options);
+
+  const SubmitResult a =
+      service.submit("a", 0, quick_spec({3.0, 6.0, 9.0, 12.0}));
+  const SubmitResult b =
+      service.submit("b", 0, quick_spec({15.0, 18.0, 21.0, 24.0}));
+  ASSERT_TRUE(a.accepted);
+  ASSERT_TRUE(b.accepted);
+  EXPECT_EQ(a.cached + b.cached, 0u);
+  pump_dry(service);
+  ASSERT_TRUE(service.finished(a.job));
+  ASSERT_TRUE(service.finished(b.job));
+
+  const std::vector<std::uint64_t> alternating = {a.job, b.job, a.job, b.job,
+                                                  a.job, b.job, a.job, b.job};
+  EXPECT_EQ(log.jobs, alternating);
+  // The hook's count is the job's computed points so far: 1 on its first.
+  const std::vector<std::size_t> counts = {1, 1, 2, 2, 3, 3, 4, 4};
+  EXPECT_EQ(log.computed, counts);
 }
 
 TEST(ServiceE2E, ResultsReplayMatchesStream) {

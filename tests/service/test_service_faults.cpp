@@ -1,6 +1,6 @@
 // Fault-injection tests for the campaign service: admission rejections,
 // bad specs, cancellation at an exact point boundary, and client
-// disconnects (abandon) before and during a running batch. All
+// disconnects (abandon) before and during a running job. All
 // deterministic — the cancellation tests use the service's on_batch_point
 // hook, which fires at completed-point boundaries, not timers.
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ sweep::SweepSpec quick_spec(std::vector<double> delays) {
 void pump_dry(CampaignService& service) {
   for (int i = 0; i < 64; ++i)
     if (!service.pump()) return;
-  FAIL() << "service did not drain within 64 batches";
+  FAIL() << "service did not drain within 64 points";
 }
 
 std::size_t record_count(const std::vector<std::string>& lines) {
@@ -104,9 +104,10 @@ TEST(ServiceFaults, BadSpecIsRejectedNotHung) {
 
 // ---------------------------------------------------------------------------
 // Cancellation at a point boundary. The hook fires (outside the service
-// lock) after each completed point of the running batch; cancelling there
-// stops the batch before its next point starts. Every record completed
-// before the stop must still reach the stream, and must be in the cache.
+// lock) after each computed point has been integrated; cancelling there
+// reclaims every point not yet claimed, so pump() computes no more of the
+// job. Every record completed before the stop must still reach the stream,
+// and must be in the cache.
 // ---------------------------------------------------------------------------
 
 struct HookCtx {
@@ -117,9 +118,9 @@ struct HookCtx {
 };
 
 void cancel_after_first_point(void* opaque, std::uint64_t job,
-                              std::size_t done_in_batch) {
+                              std::size_t computed) {
   auto* ctx = static_cast<HookCtx*>(opaque);
-  if (job != ctx->job.load() || done_in_batch < 1) return;
+  if (job != ctx->job.load() || computed < 1) return;
   if (ctx->fired.exchange(true)) return;
   if (ctx->abandon.load())
     ctx->service->abandon(job);
@@ -130,8 +131,6 @@ void cancel_after_first_point(void* opaque, std::uint64_t job,
 TEST(ServiceFaults, CancelDuringRunningPointLosesNoCompletedRecords) {
   HookCtx ctx;
   ServiceOptions options;
-  options.threads = 1;  // sequential points: the cancel lands mid-batch
-  options.batch_points = 8;
   options.on_batch_point = &cancel_after_first_point;
   options.on_batch_ctx = &ctx;
   CampaignService service(options);
@@ -148,8 +147,8 @@ TEST(ServiceFaults, CancelDuringRunningPointLosesNoCompletedRecords) {
   std::vector<std::string> lines;
   ASSERT_TRUE(service.drain(r.job, lines));
   const std::size_t completed = record_count(lines);
-  EXPECT_GE(completed, 1u) << "the point that finished must be delivered";
-  EXPECT_LT(completed, 4u) << "the cancel must have stopped the batch";
+  EXPECT_EQ(completed, 1u)
+      << "the point that finished must be delivered, and no later one run";
   const json::Value term = terminal(lines);
   EXPECT_EQ(term.find("type")->text, "cancelled");
   EXPECT_EQ(term.find("records")->number, static_cast<double>(completed));
@@ -202,8 +201,6 @@ TEST(ServiceFaults, DisconnectMidStreamKeepsCompletedPhysicsInCache) {
   HookCtx ctx;
   ctx.abandon.store(true);
   ServiceOptions options;
-  options.threads = 1;
-  options.batch_points = 8;
   options.on_batch_point = &cancel_after_first_point;
   options.on_batch_ctx = &ctx;
   CampaignService service(options);
@@ -228,8 +225,7 @@ TEST(ServiceFaults, DisconnectMidStreamKeepsCompletedPhysicsInCache) {
   ctx.job.store(0);
   const SubmitResult again = service.submit("b", 0, spec);
   ASSERT_TRUE(again.accepted);
-  EXPECT_GE(again.cached, 1u);
-  EXPECT_LT(again.cached, 4u);
+  EXPECT_EQ(again.cached, 1u);
   pump_dry(service);
   std::vector<std::string> full;
   ASSERT_TRUE(service.drain(again.job, full));
