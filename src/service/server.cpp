@@ -218,12 +218,9 @@ void Server::handle_line(Conn& conn, const std::string& line) {
 
 void Server::drain_streams(Conn& conn) {
   for (std::size_t i = 0; i < conn.streaming.size();) {
-    const std::uint64_t job = conn.streaming[i];
-    // Order matters: checking finished() before draining guarantees the
-    // terminal line (pushed before finished() flips) is in this drain.
-    const bool fin = service_.finished(job);
+    bool fin = false;
     std::vector<std::string> lines;
-    service_.drain(job, lines);
+    service_.drain(conn.streaming[i], lines, &fin);
     for (const std::string& l : lines)
       if (!send_line(conn.fd.get(), l)) {
         conn.dead = true;

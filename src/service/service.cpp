@@ -118,9 +118,11 @@ bool CampaignService::cancel(std::uint64_t job) {
   return cancelled;
 }
 
-bool CampaignService::drain(std::uint64_t job, std::vector<std::string>& lines) {
+bool CampaignService::drain(std::uint64_t job, std::vector<std::string>& lines,
+                            bool* done) {
   std::lock_guard<std::mutex> lk(mu_);
   Job* j = find_job(job);
+  if (done != nullptr) *done = j == nullptr || j->finished;
   if (j == nullptr) return false;
   for (std::string& line : j->out) lines.push_back(std::move(line));
   j->out.clear();

@@ -99,8 +99,11 @@ class CampaignService {
 
   /// Moves the job's ready output lines (record lines in ascending point
   /// order, then one terminal control line) into `lines`. False if the job
-  /// is unknown.
-  bool drain(std::uint64_t job, std::vector<std::string>& lines);
+  /// is unknown. `done`, when given, is set to whether the stream is over:
+  /// the terminal line is among the moved lines (or was moved earlier), or
+  /// the job is unknown.
+  bool drain(std::uint64_t job, std::vector<std::string>& lines,
+             bool* done = nullptr);
 
   /// True once the job's terminal line has been emitted.
   [[nodiscard]] bool finished(std::uint64_t job) const;

@@ -118,6 +118,46 @@ TEST(PropagationFlavors, SpeedRatiosAcrossModes) {
   EXPECT_NEAR(v_rdv_bidi / v_rdv, 2.0, 0.05);
 }
 
+TEST(PropagationFlavors, OnlyCoupledTwoSidedPushesDoubleSigma) {
+  // Fig. 5(g) across the rendezvous wire semantics. The doubling needs the
+  // deferred-push rule (a data push waits while any of the sender's
+  // handshakes is outstanding); fully asynchronous pushes and the one-sided
+  // flavors, whose payload the NIC moves without a sender-side pipeline,
+  // propagate at sigma = 1 even bidirectionally. Eq. 2's config-aware sigma
+  // must predict each measured speed.
+  struct Mode {
+    const char* label;
+    mpi::RendezvousFlavor flavor;
+    mpi::RendezvousPipelining pipelining;
+    double sigma;
+  };
+  const Mode modes[] = {
+      {"two_sided/deferred_push", mpi::RendezvousFlavor::two_sided,
+       mpi::RendezvousPipelining::deferred_push, 2.0},
+      {"two_sided/independent", mpi::RendezvousFlavor::two_sided,
+       mpi::RendezvousPipelining::independent, 1.0},
+      {"rdma_put", mpi::RendezvousFlavor::rdma_put,
+       mpi::RendezvousPipelining::deferred_push, 1.0},
+      {"rdma_get", mpi::RendezvousFlavor::rdma_get,
+       mpi::RendezvousPipelining::deferred_push, 1.0},
+  };
+  for (const Mode& mode : modes) {
+    WaveExperiment exp = flavor_experiment(workload::Direction::bidirectional,
+                                           workload::Boundary::open, kLarge);
+    exp.cluster.transport.rendezvous.flavor = mode.flavor;
+    exp.cluster.transport.rendezvous.pipelining = mode.pipelining;
+    const auto result = run_wave_experiment(exp);
+    ASSERT_EQ(result.protocol, mpi::WireProtocol::rendezvous) << mode.label;
+    ASSERT_GT(result.up.speed_ranks_per_sec, 0.0) << mode.label;
+    const double hops_per_cycle =
+        result.up.speed_ranks_per_sec * result.measured_cycle.sec();
+    EXPECT_NEAR(hops_per_cycle, mode.sigma, 0.05 * mode.sigma) << mode.label;
+    EXPECT_NEAR(result.up.speed_ranks_per_sec / result.predicted_speed, 1.0,
+                0.03)
+        << mode.label;
+  }
+}
+
 TEST(PropagationFlavors, MeasuredSpeedMatchesEq2InSilentSystem) {
   for (const auto msg : {kSmall, kLarge}) {
     for (const auto dir : {workload::Direction::unidirectional,

@@ -168,17 +168,24 @@ TEST(ServiceE2E, StreamOrderIsAscendingAndContiguous) {
       service.submit("a", 0, quick_spec({3.0, 6.0, 9.0, 12.0}));
   ASSERT_TRUE(r.accepted);
   // Every decision computes one point, and each lands as one record line.
+  // Only the drain after the last point reports the end of the stream, and
+  // that drain carries the terminal line.
+  std::vector<std::string> lines;
   for (std::size_t done = 1; done <= 4; ++done) {
     ASSERT_TRUE(service.pump());
     std::vector<std::string> partial;
     ASSERT_TRUE(service.results_so_far(r.job, partial));
     EXPECT_EQ(partial.size(), done);
+    bool over = true;
+    ASSERT_TRUE(service.drain(r.job, lines, &over));
+    EXPECT_EQ(over, done == 4);
+    EXPECT_EQ(split(lines).controls.size(), done == 4 ? 1u : 0u);
   }
   EXPECT_FALSE(service.pump());
-  std::vector<std::string> lines;
-  ASSERT_TRUE(service.drain(r.job, lines));
   const Stream s = split(lines);
   ASSERT_EQ(s.records.size(), 4u);
+  ASSERT_EQ(s.controls.size(), 1u);
+  EXPECT_EQ(lines.back(), s.controls.front());
   for (std::size_t i = 0; i < s.records.size(); ++i) {
     const json::Value rec = json::parse(s.records[i]);
     EXPECT_EQ(rec.find("index")->number, static_cast<double>(i));

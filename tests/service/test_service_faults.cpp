@@ -236,10 +236,13 @@ TEST(ServiceFaults, CancelUnknownJobIsFalse) {
   CampaignService service;
   EXPECT_FALSE(service.cancel(42));
   std::vector<std::string> lines;
-  EXPECT_FALSE(service.drain(42, lines));
+  bool done = false;
+  EXPECT_FALSE(service.drain(42, lines, &done));
   EXPECT_FALSE(service.results_so_far(42, lines));
   // Unknown reads as terminal: the server keys "stop streaming this job"
-  // off finished(), and a bogus id must never leave a stream open forever.
+  // off drain()'s done flag, and a bogus id must never leave a stream open
+  // forever.
+  EXPECT_TRUE(done);
   EXPECT_TRUE(service.finished(42));
 }
 

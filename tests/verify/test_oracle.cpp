@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "sweep/runner.hpp"
+#include "sweep/scenario.hpp"
 #include "sweep/spec.hpp"
 #include "verify/oracle.hpp"
 
@@ -86,6 +88,42 @@ TEST(Oracle, SpeedFarFromEq2IsFlagged) {
   const OracleReport report = check_oracles(s, records);
   EXPECT_TRUE(has_violation(report, "speed_eq2", "v_up_ranks_per_sec"));
   EXPECT_EQ(report.violations[0].record_index, 0u);
+}
+
+TEST(Oracle, Eq2SigmaFollowsTheRendezvousFlavor) {
+  // 256 KiB bidirectional open-chain points of the crossover catalog:
+  // two_sided propagates at sigma = 2, rdma_put at sigma = 1. The simulated
+  // speeds pass; a two_sided speed halved to the sigma = 1 value, or an
+  // rdma_put speed doubled to the sigma = 2 value, must not.
+  const sweep::Scenario* s =
+      sweep::find_scenario("eager_rendezvous_crossover");
+  ASSERT_NE(s, nullptr);
+  const auto all = sweep::expand(s->spec);
+  const std::size_t two_sided = 66, rdma_put = 67;
+  for (const std::size_t i : {two_sided, rdma_put}) {
+    ASSERT_EQ(all[i].msg_bytes, 262144);
+    ASSERT_EQ(all[i].direction, workload::Direction::bidirectional);
+    ASSERT_EQ(all[i].boundary, workload::Boundary::open);
+  }
+  ASSERT_EQ(all[two_sided].rdv_flavor, mpi::RendezvousFlavor::two_sided);
+  ASSERT_EQ(all[rdma_put].rdv_flavor, mpi::RendezvousFlavor::rdma_put);
+
+  const auto records =
+      sweep::run_campaign({all[two_sided], all[rdma_put]}).records;
+  ASSERT_EQ(records.size(), 2u);
+  const OracleReport clean = check_oracles(*s, records);
+  EXPECT_TRUE(clean.clean());
+  EXPECT_EQ(clean.speed_checks, 2u);
+
+  auto halved = records;
+  halved[0].v_up_ranks_per_sec *= 0.5;
+  EXPECT_TRUE(has_violation(check_oracles(*s, halved), "speed_eq2",
+                            "v_up_ranks_per_sec"));
+
+  auto doubled = records;
+  doubled[1].v_up_ranks_per_sec *= 2.0;
+  EXPECT_TRUE(has_violation(check_oracles(*s, doubled), "speed_eq2",
+                            "v_up_ranks_per_sec"));
 }
 
 TEST(Oracle, ScatteredFrontSkipsSpeedCheck) {
