@@ -4,7 +4,7 @@
 // runs ~3000 simulations).
 //
 // Each micro workload is measured twice: once on the production engine
-// (slab-backed 4-ary calendar + small-buffer EventFn) and once on an inline
+// (radix-bucket calendar + small-buffer EventFn) and once on an inline
 // reference replica of the naive seed implementation (std::priority_queue
 // of std::function events, pop-by-copy semantics via top()/pop()). The
 // workloads schedule closures of the size the simulator actually uses
@@ -322,7 +322,7 @@ int bench_main(int argc, char** argv) {
       cli.get("json").value_or(cli.get_or("out", "BENCH_engine.json"));
 
   bench::print_header("perf_engine",
-                      "event-engine throughput: slab-backed 4-ary calendar vs "
+                      "event-engine throughput: radix-bucket calendar vs "
                       "naive priority_queue baseline");
 
   std::vector<Comparison> comparisons;

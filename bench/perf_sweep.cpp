@@ -10,7 +10,8 @@
 // subsystem is what turns those from a shell loop into one process.
 //
 // Flags: --json=<path> (default BENCH_sweep.json), --scenario=<name>,
-//        --threads=1,2,4,8, --reps=N, --steps=N, --smoke (CI-sized run),
+//        --threads=1,2,4,8 (the default drops counts above the machine's
+//        hardware threads), --reps=N, --steps=N, --smoke (CI-sized run),
 //        --baseline=<path> (regression-check max_speedup against a stored
 //        artifact — only enforced when both artifacts are valid parallel
 //        baselines, so a single-core box cannot fail on speedup noise).
@@ -94,9 +95,15 @@ int bench_main(int argc, char** argv) {
       cli.get_or("scenario", std::string{"speed_vs_delay"});
   const int reps =
       static_cast<int>(cli.get_or("reps", std::int64_t{smoke ? 1 : 3}));
+  // The default ladder stops at the hardware thread count, so a default
+  // run always measures real parallel scaling.
+  const auto hw =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  std::vector<std::int64_t> default_threads{1};
+  for (const std::int64_t t : {2, 4, 8})
+    if (t <= hw && t <= (smoke ? 2 : 8)) default_threads.push_back(t);
   std::vector<std::int64_t> thread_counts =
-      cli.get_list_or("threads", smoke ? std::vector<std::int64_t>{1, 2}
-                                       : std::vector<std::int64_t>{1, 2, 4, 8});
+      cli.get_list_or("threads", default_threads);
 
   const sweep::Scenario* scenario = sweep::find_scenario(scenario_name);
   if (!scenario)

@@ -84,6 +84,24 @@ void Cluster::clear_process_table() {
   if (process_table_.size() < nranks) process_table_.resize(nranks, nullptr);
 }
 
+void Cluster::size_storage(std::span<const mpi::Program> programs,
+                           mpi::Trace& trace) {
+  // The request slab holds every rank's in-flight request window
+  // back-to-back, sized exactly from the programs' deepest Isend/Irecv
+  // window, and the trace slabs take every rank's rows. Sizing completes
+  // before any binding so neither moves under a bound process.
+  std::size_t requests = 0;
+  std::size_t segments = 0;
+  std::size_t steps = 0;
+  for (const mpi::Program& program : programs) {
+    requests += program.max_window_requests();
+    segments += program.segment_bound();
+    steps += static_cast<std::size_t>(program.rounds()) + 1;
+  }
+  request_slab_.resize(requests);
+  trace.reserve(segments, steps);
+}
+
 mpi::Process& Cluster::bind_rank(int rank, const mpi::Program& program,
                                  mpi::Trace& trace, std::size_t& offset) {
   mpi::Process& proc = bind_process(procs_in_use_, rank, trace);
@@ -177,28 +195,31 @@ mpi::Trace Cluster::run(const std::vector<mpi::Program>& programs,
   mpi::Trace trace(topo_.ranks());
 
   wire_domains();
+  size_storage(programs, trace);
 
-  // The request slab holds every rank's in-flight request window
-  // back-to-back, sized exactly from the programs' deepest Isend/Irecv
-  // window. Sizing completes before any binding so the slab never moves
-  // under a bound process.
-  std::size_t slab = 0;
-  for (const auto& program : programs) slab += program.max_window_requests();
-  request_slab_.resize(slab);
+  // One model per noise source, shared by every rank: sampling is const,
+  // and each rank draws from its own stream. Both outlive engine_.run().
+  const auto build = [](const noise::NoiseSpec& spec) {
+    return spec.kind == noise::NoiseSpec::Kind::none ? nullptr : spec.build();
+  };
+  const std::unique_ptr<noise::NoiseModel> system_model =
+      build(config_.system_noise);
+  const std::unique_ptr<noise::NoiseModel> injected_model =
+      build(injected_noise);
 
   clear_process_table();
   std::size_t offset = 0;
   for (int rank = 0; rank < topo_.ranks(); ++rank) {
     mpi::Process& proc = bind_rank(
         rank, programs[static_cast<std::size_t>(rank)], trace, offset);
-    if (config_.system_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(config_.system_noise.build(),
+    if (system_model) {
+      proc.add_noise(system_model.get(),
                      Rng::for_stream(config_.seed,
                                      static_cast<std::uint64_t>(rank),
                                      kSystemNoiseStream));
     }
-    if (injected_noise.kind != noise::NoiseSpec::Kind::none) {
-      proc.add_noise(injected_noise.build(),
+    if (injected_model) {
+      proc.add_noise(injected_model.get(),
                      Rng::for_stream(config_.seed,
                                      static_cast<std::uint64_t>(rank),
                                      kInjectedNoiseStream));
@@ -255,10 +276,7 @@ mpi::Trace Cluster::run_fast_forward(
   domain_table_.clear();
   transport_.set_memory_domains(domain_table_);
 
-  std::size_t slab = 0;
-  for (const mpi::Program& program : programs)
-    slab += program.max_window_requests();
-  request_slab_.resize(slab);
+  size_storage(programs, trace);
 
   // Silent ranks keep a null process-table entry. That is safe because a
   // silent rank never posts a receive: arrivals from ghosts into silent

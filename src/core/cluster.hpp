@@ -168,6 +168,9 @@ class Cluster {
   /// Unbinds the previous run's process-table entries and sizes the table
   /// for this run's rank count.
   void clear_process_table();
+  /// Sizes the request slab and reserves the trace slabs for `programs`.
+  void size_storage(std::span<const mpi::Program> programs,
+                    mpi::Trace& trace);
   /// Binds the next pool process to `rank` running `program`: trace row,
   /// request-slab window at `offset` (advanced past it), table entry.
   mpi::Process& bind_rank(int rank, const mpi::Program& program,

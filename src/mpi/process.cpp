@@ -61,9 +61,9 @@ Request& Process::push_request(Request r) {
   return req_[req_count_++];
 }
 
-void Process::add_noise(std::unique_ptr<noise::NoiseModel> model, Rng rng) {
+void Process::add_noise(const noise::NoiseModel* model, Rng rng) {
   IW_REQUIRE(model != nullptr, "noise model must not be null");
-  noise_.push_back(NoiseSource{std::move(model), rng});
+  noise_.push_back(NoiseSource{model, rng});
 }
 
 void Process::start() {

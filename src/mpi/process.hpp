@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,8 +34,9 @@ class Process {
   void set_program(const Program* program);
 
   /// Attaches a noise source; each compute phase adds one sample from every
-  /// attached source. The process owns model and generator.
-  void add_noise(std::unique_ptr<noise::NoiseModel> model, Rng rng);
+  /// attached source. The process owns the generator; the model is shared
+  /// (sampling is const) and must outlive the run.
+  void add_noise(const noise::NoiseModel* model, Rng rng);
 
   /// Bandwidth domain used by OpMemWork phases (socket memory interface).
   /// May stay null if the program has no memory-bound phases.
@@ -110,7 +110,7 @@ class Process {
   obs::Tracer* tracer_ = nullptr;
 
   struct NoiseSource {
-    std::unique_ptr<noise::NoiseModel> model;
+    const noise::NoiseModel* model;
     Rng rng;
   };
   std::vector<NoiseSource> noise_;

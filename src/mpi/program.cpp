@@ -9,18 +9,21 @@ namespace iw::mpi {
 Program& Program::compute(Duration d, bool noisy) {
   IW_REQUIRE(d.ns() >= 0, "compute duration must be non-negative");
   ops_.emplace_back(OpCompute{d, noisy});
+  ++segment_bound_;
   return *this;
 }
 
 Program& Program::mem_work(std::int64_t bytes, bool noisy) {
   IW_REQUIRE(bytes >= 0, "memory work must be non-negative");
   ops_.emplace_back(OpMemWork{bytes, noisy});
+  ++segment_bound_;
   return *this;
 }
 
 Program& Program::inject(Duration d) {
   IW_REQUIRE(d.ns() >= 0, "injected delay must be non-negative");
   ops_.emplace_back(OpInject{d});
+  ++segment_bound_;
   return *this;
 }
 
@@ -43,6 +46,8 @@ Program& Program::irecv(int peer, std::int64_t bytes, int tag) {
 Program& Program::waitall() {
   ops_.emplace_back(OpWaitAll{});
   window_requests_ = 0;
+  ++segment_bound_;
+  ++rounds_;
   return *this;
 }
 
@@ -57,25 +62,6 @@ Duration Program::total_injected() const {
     if (const auto* inject = std::get_if<OpInject>(&op))
       total += inject->duration;
   return total;
-}
-
-int Program::rounds() const {
-  int n = 0;
-  for (const auto& op : ops_)
-    if (std::holds_alternative<OpWaitAll>(op)) ++n;
-  return n;
-}
-
-std::size_t Program::segment_bound() const {
-  std::size_t n = 0;
-  for (const auto& op : ops_) {
-    if (std::holds_alternative<OpCompute>(op) ||
-        std::holds_alternative<OpMemWork>(op) ||
-        std::holds_alternative<OpInject>(op) ||
-        std::holds_alternative<OpWaitAll>(op))
-      ++n;
-  }
-  return n;
 }
 
 }  // namespace iw::mpi

@@ -79,14 +79,14 @@ class Program {
   [[nodiscard]] Duration total_injected() const;
 
   /// Number of WaitAll operations (== communication rounds).
-  [[nodiscard]] int rounds() const;
+  [[nodiscard]] int rounds() const { return rounds_; }
 
   /// Exact upper bound on the trace segments this program can record: one
   /// per compute/mem_work/inject op plus at most one wait segment per
   /// WaitAll. The Cluster sizes per-rank trace rows from this, so recording
   /// never reallocates and never over-reserves (the old `size()` bound
   /// counted every send/recv post as a segment — ~3x waste at scale).
-  [[nodiscard]] std::size_t segment_bound() const;
+  [[nodiscard]] std::size_t segment_bound() const { return segment_bound_; }
 
   /// Largest number of requests simultaneously open in any WaitAll window
   /// (posts since the previous WaitAll). The Cluster sizes the shared
@@ -97,8 +97,11 @@ class Program {
 
  private:
   std::vector<Op> ops_;
+  // Shape counters kept by the builders, so sizing a run never walks ops.
   std::size_t window_requests_ = 0;
   std::size_t max_window_requests_ = 0;
+  std::size_t segment_bound_ = 0;
+  int rounds_ = 0;
 };
 
 }  // namespace iw::mpi

@@ -59,6 +59,11 @@ void Trace::reserve_rank(int rank, std::size_t segments, std::size_t steps) {
   step_slab_.resize(step_slab_.size() + steps);
 }
 
+void Trace::reserve(std::size_t segments, std::size_t steps) {
+  seg_slab_.reserve(seg_slab_.size() + segments);
+  step_slab_.reserve(step_slab_.size() + steps);
+}
+
 void Trace::add_segment(int rank, Segment seg) {
   check_rank(rank);
   IW_CHECK(seg.end >= seg.begin, "segment must have non-negative duration");

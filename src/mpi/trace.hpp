@@ -66,6 +66,10 @@ class Trace {
   /// and at most once.
   void reserve_rank(int rank, std::size_t segments, std::size_t steps);
 
+  /// Pre-sizes both slabs for rows totalling `segments` and `steps`, so the
+  /// reserve_rank() calls of one run carve them without relocating.
+  void reserve(std::size_t segments, std::size_t steps);
+
   /// Makes `rank` share `source`'s physical rows (segments, step marks) and
   /// finish time. Used by the fast-forward path: every silent rank in a
   /// residue class has a byte-identical timeline, so one row serves them

@@ -1,33 +1,26 @@
 #include "sim/calendar.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "support/error.hpp"
 
 namespace iw::sim {
 
-std::uint64_t Calendar::schedule(SimTime when, EventFn fn) {
+std::uint64_t Calendar::schedule(SimTime when, EventFn&& fn) {
+  const std::uint64_t key = key_of(when);
+  if (key < base_) rebase(key);
   const std::uint64_t seq = next_seq_++;
-  IW_CHECK(seq < (1ull << (64 - kSlotBits)), "calendar sequence exhausted");
-  const std::uint32_t slot = acquire_slot(std::move(fn), seq);
-  if (std::uint32_t* tail = times_.find_or_insert(when.ns(), slot)) {
-    // Timestamp already pending: O(1) chain append, no heap traffic.
-    chain_next_[*tail] = slot;
-    *tail = slot;
-  } else {
-    heap_.push_back(Entry{when.ns(), (seq << kSlotBits) | slot});
-    sift_up(heap_.size() - 1);
-  }
+  place(Item{key, acquire_slot(std::move(fn), seq)});
   ++live_;
   if (live_ > peak_size_) peak_size_ = live_;
   return seq;
 }
 
 void Calendar::reserve(std::size_t events) {
-  heap_.reserve(events);
   slab_.reserve(events);
-  chain_next_.reserve(events);
   slot_seq_.reserve(events);
   free_slots_.reserve(events);
 }
@@ -38,153 +31,121 @@ void Calendar::reset() noexcept {
   // about to recycle this storage for the next sweep point. (noexcept: an
   // audit failure here terminates, which is the right call outside tests.)
   IW_AUDIT(audit());
-  heap_.clear();
+  for (auto& bucket : buckets_) bucket.clear();
+  head_ = 0;
+  occupied_ = 0;
+  base_ = key_of(SimTime::zero());
   slab_.clear();  // destroys any pending closures; capacity is retained
-  chain_next_.clear();
   slot_seq_.clear();
   free_slots_.clear();
-  times_.clear();
   next_seq_ = 0;
   live_ = 0;
   peak_size_ = 0;
 }
 
-SimTime Calendar::next_time() const {
-  IW_REQUIRE(!heap_.empty(), "next_time on empty calendar");
-  return SimTime{heap_.front().when_ns};
+SimTime Calendar::next_time() {
+  IW_REQUIRE(live_ != 0, "next_time on empty calendar");
+  if (head_ == buckets_[0].size()) refill();
+  return time_of(base_);
 }
 
 Event Calendar::pop() {
-  IW_REQUIRE(!heap_.empty(), "pop on empty calendar");
-  const std::int64_t when_ns = heap_.front().when_ns;
-  const std::uint32_t slot = advance_root();
-  return Event{SimTime{when_ns}, slot_seq_[slot], std::move(slab_[slot])};
+  IW_REQUIRE(live_ != 0, "pop on empty calendar");
+  if (head_ == buckets_[0].size()) refill();
+  const std::uint32_t slot = take_front();
+  return Event{time_of(base_), slot_seq_[slot], std::move(slab_[slot])};
 }
 
 bool Calendar::pop_if_at(SimTime when, EventFn& out) {
-  if (heap_.empty() || heap_.front().when_ns != when.ns()) return false;
-  const std::uint32_t slot = advance_root();
-  out = std::move(slab_[slot]);
+  const std::uint64_t key = key_of(when);
+  if (head_ == buckets_[0].size()) {
+    // Every pending event at the base time sits in bucket 0.
+    if (key == base_ || !refill()) return false;
+  }
+  if (key != base_) return false;
+  out = std::move(slab_[take_front()]);
   return true;
 }
 
-std::uint32_t Calendar::advance_root() {
-  Entry& root = heap_.front();
-  const auto slot = static_cast<std::uint32_t>(root.seq_slot & kSlotMask);
-  IW_ASSERT(slot < slab_.size(), "heap root references a slot off the slab");
-  const std::uint32_t next = chain_next_[slot];
-  IW_ASSERT(next == kNil || next < slab_.size(),
-            "same-time chain link points off the slab");
-  IW_ASSERT(next == kNil || slot_seq_[next] > slot_seq_[slot],
-            "same-time chain is not in FIFO (ascending seq) order");
-  if (next != kNil) {
-    // Promote the next chained event: the entry keeps its heap position
-    // (same time; the entry's seq bits are already minimal for this time).
-    root.seq_slot = (root.seq_slot & ~kSlotMask) | next;
-  } else {
-    times_.erase(root.when_ns);
-    remove_root();
+unsigned Calendar::bucket_of(std::uint64_t key) const noexcept {
+  return static_cast<unsigned>(std::bit_width(key ^ base_));
+}
+
+void Calendar::place(Item item) {
+  const unsigned b = bucket_of(item.key);
+  std::vector<Item>& bucket = buckets_[b];
+  if (b != 0) {
+    if (bucket.empty()) {
+      min_key_[b] = max_key_[b] = item.key;
+      occupied_ |= 1ull << (b - 1);
+    } else {
+      min_key_[b] = std::min(min_key_[b], item.key);
+      max_key_[b] = std::max(max_key_[b], item.key);
+    }
   }
+  bucket.push_back(item);
+}
+
+bool Calendar::refill() {
+  buckets_[0].clear();
+  head_ = 0;
+  if (occupied_ == 0) return false;
+  const auto b = static_cast<unsigned>(std::countr_zero(occupied_)) + 1;
+  occupied_ &= occupied_ - 1;
+  base_ = min_key_[b];
+  std::vector<Item>& from = buckets_[b];
+  if (base_ == max_key_[b]) {
+    // One timestamp (a same-time burst): the bucket becomes the front.
+    buckets_[0].swap(from);
+  } else {
+    // Every item shares the bits above b-1 with the new base, so each one
+    // maps strictly below b: into buckets that are empty, in seq order.
+    for (const Item& item : from) place(item);
+    from.clear();
+  }
+  return true;
+}
+
+void Calendar::rebase(std::uint64_t key) {
+  std::vector<Item> items;
+  items.reserve(live_);
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    std::vector<Item>& bucket = buckets_[b];
+    items.insert(items.end(), bucket.begin() + (b == 0 ? head_ : 0),
+                 bucket.end());
+    bucket.clear();
+  }
+  head_ = 0;
+  occupied_ = 0;
+  std::sort(items.begin(), items.end(), [this](const Item& x, const Item& y) {
+    return slot_seq_[x.slot] < slot_seq_[y.slot];
+  });
+  base_ = key;
+  for (const Item& item : items) place(item);
+}
+
+std::uint32_t Calendar::take_front() {
+  const std::uint32_t slot = buckets_[0][head_++].slot;
+  IW_ASSERT(slot < slab_.size(), "bucket item references a slot off the slab");
   free_slots_.push_back(slot);
   --live_;
   return slot;
 }
 
 std::uint32_t Calendar::acquire_slot(EventFn&& fn, std::uint64_t seq) {
-  std::uint32_t slot;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     slab_[slot] = std::move(fn);
-  } else {
-    IW_CHECK(slab_.size() < kSlotMask,
-             "calendar slab exhausted (>16M pending)");
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-    chain_next_.push_back(kNil);
-    slot_seq_.push_back(0);
+    slot_seq_[slot] = seq;
+    return slot;
   }
-  chain_next_[slot] = kNil;
-  slot_seq_[slot] = seq;
-  return slot;
+  IW_CHECK(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+           "calendar slab exhausted (>4G pending)");
+  slab_.push_back(std::move(fn));
+  slot_seq_.push_back(seq);
+  return static_cast<std::uint32_t>(slab_.size() - 1);
 }
-
-void Calendar::remove_root() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (heap_.size() > 1) sift_down(0);
-}
-
-void Calendar::sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-std::uint32_t* Calendar::TimeIndex::find_or_insert(std::int64_t when_ns,
-                                                   std::uint32_t tail) {
-  // Keep load (live + tombstones) under half capacity so probes stay short.
-  if (cells_.empty() || (used_ + tombs_ + 1) * 2 > cells_.size()) {
-    const std::size_t target =
-        tombs_ > used_ / 2 ? cells_.size() : cells_.size() * 2;
-    rehash(std::max<std::size_t>(64, target));
-  }
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t reuse = SIZE_MAX;  // first tombstone seen along the probe
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    Cell& c = cells_[i];
-    if (c.state == kUsed) {
-      if (c.when_ns == when_ns) return &c.tail;
-      continue;
-    }
-    if (c.state == kTomb) {
-      if (reuse == SIZE_MAX) reuse = i;
-      continue;
-    }
-    // kFree: the key is absent — insert in the same pass.
-    const std::size_t j = reuse == SIZE_MAX ? i : reuse;
-    if (cells_[j].state == kTomb) --tombs_;
-    cells_[j] = Cell{when_ns, tail, kUsed};
-    ++used_;
-    return nullptr;
-  }
-}
-
-void Calendar::TimeIndex::erase(std::int64_t when_ns) noexcept {
-  const std::size_t mask = cells_.size() - 1;
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    Cell& c = cells_[i];
-    if (c.state == kUsed && c.when_ns == when_ns) {
-      c.state = kTomb;
-      --used_;
-      ++tombs_;
-      return;
-    }
-  }
-}
-
-void Calendar::TimeIndex::clear() noexcept {
-  for (Cell& c : cells_) c.state = kFree;
-  used_ = 0;
-  tombs_ = 0;
-}
-
-#if IW_AUDIT_ENABLED
-const std::uint32_t* Calendar::TimeIndex::find(std::int64_t when_ns) const {
-  if (cells_.empty()) return nullptr;
-  const std::size_t mask = cells_.size() - 1;
-  for (std::size_t i = hash(when_ns) & mask;; i = (i + 1) & mask) {
-    const Cell& c = cells_[i];
-    if (c.state == kFree) return nullptr;
-    if (c.state == kUsed && c.when_ns == when_ns) return &c.tail;
-  }
-}
-#endif
 
 void Calendar::audit() const {
 #if IW_AUDIT_ENABLED
@@ -199,79 +160,39 @@ void Calendar::audit() const {
   IW_ASSERT(free_slots_.size() + live_ == slab_.size(),
             "slab accounting broken: live + free != slab extent");
 
-  // Heap order + chain walk. Chains must cover exactly the non-free slots.
-  std::size_t chained = 0;
+  // Bucket walk: the items must cover exactly the non-free slots.
+  IW_ASSERT(head_ <= buckets_[0].size(), "bucket 0 cursor past its end");
+  std::size_t bucketed = 0;
   std::vector<std::uint8_t> seen(slab_.size(), 0);
-  std::vector<std::int64_t> times;
-  times.reserve(heap_.size());
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      IW_ASSERT(!earlier(heap_[i], heap_[parent]),
-                "heap order property violated");
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    const std::vector<Item>& bucket = buckets_[b];
+    const std::size_t first = b == 0 ? head_ : 0;
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t hi = 0;
+    IW_ASSERT(b == 0 || ((occupied_ >> (b - 1)) & 1) == !bucket.empty(),
+              "occupancy mask disagrees with the buckets");
+    for (std::size_t i = first; i < bucket.size(); ++i) {
+      const Item& item = bucket[i];
+      IW_ASSERT(item.key >= base_, "pending event precedes the calendar base");
+      IW_ASSERT(bucket_of(item.key) == b,
+                "item sits outside the bucket its key maps to");
+      IW_ASSERT(item.slot < slab_.size(), "item references a slot off the slab");
+      IW_ASSERT(!is_free[item.slot], "pending item references a freed slot");
+      IW_ASSERT(!seen[item.slot], "slot held by two pending items");
+      seen[item.slot] = 1;
+      IW_ASSERT(i == first ||
+                    slot_seq_[item.slot] > slot_seq_[bucket[i - 1].slot],
+                "bucket seq not strictly ascending (FIFO order broken)");
+      lo = std::min(lo, item.key);
+      hi = std::max(hi, item.key);
+      ++bucketed;
     }
-    times.push_back(heap_[i].when_ns);
-
-    // The time index must map this entry's timestamp to its chain tail.
-    std::uint32_t slot = static_cast<std::uint32_t>(heap_[i].seq_slot & kSlotMask);
-    std::uint64_t prev_seq = 0;
-    std::uint32_t tail = slot;
-    for (bool head = true; slot != kNil;
-         slot = chain_next_[slot], head = false) {
-      IW_ASSERT(slot < slab_.size(), "chain references a slot off the slab");
-      IW_ASSERT(!is_free[slot], "live chain references a freed slot");
-      IW_ASSERT(!seen[slot], "slot reachable from two chains");
-      seen[slot] = 1;
-      IW_ASSERT(head || slot_seq_[slot] > prev_seq,
-                "chain seq not strictly ascending (FIFO order broken)");
-      prev_seq = slot_seq_[slot];
-      tail = slot;
-      ++chained;
-    }
-    const std::uint32_t* indexed = times_.find(heap_[i].when_ns);
-    IW_ASSERT(indexed != nullptr, "pending timestamp missing from time index");
-    IW_ASSERT(*indexed == tail, "time index tail does not match chain tail");
+    IW_ASSERT(b == 0 || bucket.empty() ||
+                  (lo == min_key_[b] && hi == max_key_[b]),
+              "bucket key range disagrees with its items");
   }
-  IW_ASSERT(chained == live_, "live counter does not match chained events");
-  IW_ASSERT(times_.live_entries() == heap_.size(),
-            "time index holds entries for non-pending timestamps");
-
-  // At most one heap entry per timestamp (same-time arrivals must chain).
-  std::sort(times.begin(), times.end());
-  IW_ASSERT(std::adjacent_find(times.begin(), times.end()) == times.end(),
-            "duplicate timestamp entries in the heap");
+  IW_ASSERT(bucketed == live_, "live counter does not match bucketed events");
 #endif
-}
-
-void Calendar::TimeIndex::rehash(std::size_t capacity) {
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(capacity, Cell{0, 0, kFree});
-  tombs_ = 0;
-  const std::size_t mask = capacity - 1;
-  for (const Cell& c : old) {
-    if (c.state != kUsed) continue;
-    std::size_t i = hash(c.when_ns) & mask;
-    while (cells_[i].state == kUsed) i = (i + 1) & mask;
-    cells_[i] = c;
-  }
-}
-
-void Calendar::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Entry e = heap_[i];
-  for (;;) {
-    const std::size_t first = i * kArity + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
 }
 
 }  // namespace iw::sim

@@ -1,34 +1,39 @@
-// The event calendar: a deterministic min-heap of future events.
+// The event calendar: a deterministic monotone radix heap of future events.
 //
-// Layout: a 4-ary implicit heap of 16-byte entries over a slab of EventFn
-// closures. An entry packs (when, seq, slot) into two words: the timestamp,
-// and seq<<24 | slot. Since sequence numbers are unique, comparing the
-// packed word compares seq — the slot bits never decide — so the heap order
-// is exactly the deterministic (time, seq) contract. Sift operations move
-// only these 16-byte entries; closures stay put in their slab slot from
-// schedule() to pop(), where they are moved (never copied) out to the
-// caller. The 4-ary shape halves the tree depth of a binary heap and keeps
-// a node's children inside one or two cache lines. Freed slots are recycled
-// LIFO so a steady-state simulation (schedule/pop churn at a roughly
-// constant horizon) touches a small, cache-resident working set.
+// Storage: closures live in a slab of EventFn slots from schedule() to
+// pop(), where they are moved (never copied) out to the caller. Freed slots
+// are recycled LIFO so a steady-state simulation (schedule/pop churn at a
+// roughly constant horizon) touches a small, cache-resident working set.
 //
-// Same-time chaining: bulk-synchronous simulations schedule bursts of
-// events for one timestamp (every rank waking at the same step boundary,
-// zero-delay continuations, equal-latency arrivals from different
-// senders). A small open-addressed index maps each pending timestamp to
-// its chain tail, so a schedule() at an already-pending time appends in
-// O(1) to a FIFO chain hanging off the existing heap entry instead of
-// becoming a heap node of its own; pops advance the chain head in place
-// with no sift at all. The heap therefore holds at most one entry per
-// distinct timestamp. This is safe for the (time, seq) contract: chains
-// grow by global scheduling order, so FIFO chain order is exactly seq
-// order within a timestamp, and across timestamps the heap orders as
-// before.
+// Order: the queue holds 16-byte (key, slot) items in 65 buckets relative
+// to `base_`, the earliest pending time once the front is due. An item
+// sits in bucket bit_width(key ^ base_): one past the highest bit in which
+// its time differs from the base. Bucket 0 therefore holds exactly the
+// events at the base time and drains FIFO from a cursor. When it runs dry,
+// the earliest time in the lowest non-empty bucket (each bucket tracks its
+// key range as items arrive) becomes the new base, and that bucket's items
+// move, stably, into the strictly lower buckets they now map to; a bucket
+// holding one timestamp is handed to bucket 0 whole. An item moves down at
+// most once per bit level, so a schedule/pop pair costs O(log horizon)
+// amortised however many events are pending, and a timestamp with a single
+// event (the common case under per-phase noise) never meets a comparison
+// tree.
 //
-// Capacity: 24 slot bits allow 16.7M simultaneously pending events and 40
-// seq bits allow ~1.1e12 events per run; both are enforced loudly.
+// Determinism: the (time, seq) contract needs no time index. Every bucket
+// stays in ascending seq order: schedule() appends the largest seq yet, and
+// a redistribution moves a seq-ordered bucket stably into buckets that are
+// empty (they lie below the lowest non-empty one). Equal-time events thus
+// reach bucket 0 in seq order, and a same-time burst scheduled while bucket
+// 0 drains queues behind it.
+//
+// Monotonicity: the engine never schedules before now(), but run_until()
+// can stop after next_time() has moved the base past now(). A later
+// schedule between now() and the base re-buckets every pending item around
+// the new, earlier base (O(n log n); a sort restores seq order). The same
+// path keeps the calendar correct for arbitrary schedule orders.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,27 +47,29 @@ class Calendar {
   /// Enqueues `fn` to run at `when`. Returns the event's sequence number
   /// (useful only for diagnostics; events cannot be cancelled — cancellation
   /// is expressed by the closure checking its own validity flag).
-  std::uint64_t schedule(SimTime when, EventFn fn);
+  std::uint64_t schedule(SimTime when, EventFn&& fn);
 
-  /// Pre-sizes the slab, heap, and free list for `events` simultaneously
-  /// pending events, so a run of known shape never reallocates.
+  /// Pre-sizes the slab and free list for `events` simultaneously pending
+  /// events. Buckets grow on demand and keep their capacity across reset().
   void reserve(std::size_t events);
 
   /// Discards every pending event and restores the pristine state (seq
-  /// counter and peak tracking included) while keeping all heap capacity —
-  /// the slab, chain links, free list, and time index stay allocated. A
-  /// reset calendar behaves exactly like a freshly constructed one, which
-  /// is what makes cluster reuse byte-deterministic.
+  /// counter, base time and peak tracking included) while keeping all heap
+  /// capacity — the slab, free list and buckets stay allocated. A reset
+  /// calendar behaves exactly like a freshly constructed one, which is what
+  /// makes cluster reuse byte-deterministic.
   void reset() noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Largest number of simultaneously pending events seen so far.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_size_; }
 
-  /// Time of the earliest pending event. Requires !empty().
-  [[nodiscard]] SimTime next_time() const;
+  /// Time of the earliest pending event. Requires !empty(). Moves the next
+  /// timestamp's events to the front, so it is not const; the order in
+  /// which events come out is unaffected.
+  [[nodiscard]] SimTime next_time();
 
   /// Removes and returns the earliest event. Requires !empty().
   Event pop();
@@ -74,89 +81,55 @@ class Calendar {
   /// deterministic (time, seq) contract.
   bool pop_if_at(SimTime when, EventFn& out);
 
-  /// Full structural audit (audit builds only; a no-op otherwise). Walks
-  /// the heap (4-ary order property, one entry per timestamp), every
-  /// same-time chain (ascending seq, live slots only), the slab free list
-  /// (no duplicates, no live slot), and the time index (every heap entry's
-  /// timestamp maps to its chain tail), and reconciles the slot accounting:
-  /// chained live events == size() and live + free == slab extent. O(n);
-  /// called from Engine::reset and the audit-mode tests, never per event.
+  /// Full structural audit (audit builds only; a no-op otherwise). Checks
+  /// that every pending item sits in the bucket its key maps to (so bucket
+  /// 0 from the cursor holds exactly the base time, and nothing precedes
+  /// the base), that the occupancy mask matches the buckets, that each
+  /// bucket is in ascending seq order over live slots only, and reconciles
+  /// the slot accounting: bucketed items == size() and live + free == slab
+  /// extent. O(n); called from Engine::reset and the audit-mode tests,
+  /// never per event.
   void audit() const;
 
  private:
-  static constexpr std::size_t kArity = 4;
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr unsigned kBuckets = 65;
 
-  struct Entry {
-    std::int64_t when_ns;
-    std::uint64_t seq_slot;  ///< seq << kSlotBits | slot of the chain head
+  struct Item {
+    std::uint64_t key;  ///< order-preserving unsigned image of the time
+    std::uint32_t slot;
   };
 
-  static bool earlier(const Entry& a, const Entry& b) noexcept {
-    if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
-    return a.seq_slot < b.seq_slot;
+  /// Flips the sign bit so unsigned key order is signed time order.
+  static std::uint64_t key_of(SimTime t) noexcept {
+    return static_cast<std::uint64_t>(t.ns()) ^ (1ull << 63);
+  }
+  static SimTime time_of(std::uint64_t key) noexcept {
+    return SimTime{static_cast<std::int64_t>(key ^ (1ull << 63))};
   }
 
-  /// Open-addressed hash index: pending timestamp -> chain tail slot.
-  /// Power-of-two capacity, linear probing, tombstone deletion with
-  /// rehash-on-clutter. Determinism is untouched: the index is only ever
-  /// queried per key, never iterated.
-  class TimeIndex {
-   public:
-    /// Single-pass upsert: if `when_ns` is present, returns the address of
-    /// its tail slot (caller appends to the chain). Otherwise records
-    /// (when_ns -> tail) and returns nullptr (caller creates a heap entry).
-    std::uint32_t* find_or_insert(std::int64_t when_ns, std::uint32_t tail);
-    /// Erases a timestamp (must be present).
-    void erase(std::int64_t when_ns) noexcept;
-
-    /// Drops every entry; table storage is retained.
-    void clear() noexcept;
-
-#if IW_AUDIT_ENABLED
-    /// Audit-only probe: the tail recorded for `when_ns`, or nullptr when
-    /// the timestamp is absent. Mutates nothing.
-    [[nodiscard]] const std::uint32_t* find(std::int64_t when_ns) const;
-    /// Audit-only: number of live (kUsed) cells.
-    [[nodiscard]] std::size_t live_entries() const noexcept { return used_; }
-#endif
-
-   private:
-    enum : std::uint32_t { kFree = 0, kUsed = 1, kTomb = 2 };
-    struct Cell {
-      std::int64_t when_ns;
-      std::uint32_t tail;
-      std::uint32_t state;
-    };
-
-    static std::size_t hash(std::int64_t when_ns) noexcept {
-      auto x = static_cast<std::uint64_t>(when_ns) * 0x9E3779B97F4A7C15ull;
-      return static_cast<std::size_t>(x >> 32);
-    }
-
-    void rehash(std::size_t capacity);
-
-    std::vector<Cell> cells_;  ///< size is a power of two (or empty)
-    std::size_t used_ = 0;
-    std::size_t tombs_ = 0;
-  };
-
+  [[nodiscard]] unsigned bucket_of(std::uint64_t key) const noexcept;
+  void place(Item item);
+  /// Refills the drained bucket 0 from the lowest non-empty bucket; false
+  /// when nothing is pending.
+  bool refill();
+  /// Re-buckets everything around a base earlier than the current one.
+  void rebase(std::uint64_t key);
+  /// Pops bucket 0's head and releases its slot (the closure stays in the
+  /// slab until the caller moves it out).
+  std::uint32_t take_front();
   std::uint32_t acquire_slot(EventFn&& fn, std::uint64_t seq);
-  /// Releases the root's slot and either advances its chain or removes the
-  /// heap entry. Returns the released slot.
-  std::uint32_t advance_root();
-  void remove_root();
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
 
-  std::vector<Entry> heap_;
+  std::array<std::vector<Item>, kBuckets> buckets_;
+  /// Earliest and latest key in each non-empty bucket above 0, kept by
+  /// place() so a refill need not scan the bucket it empties.
+  std::array<std::uint64_t, kBuckets> min_key_{};
+  std::array<std::uint64_t, kBuckets> max_key_{};
+  std::size_t head_ = 0;       ///< FIFO cursor into buckets_[0]
+  std::uint64_t occupied_ = 0; ///< bit b-1 set iff buckets_[b] is non-empty
+  std::uint64_t base_ = key_of(SimTime::zero());
   std::vector<EventFn> slab_;  ///< closure storage, indexed by slot
-  std::vector<std::uint32_t> chain_next_;  ///< same-time FIFO links
-  std::vector<std::uint64_t> slot_seq_;    ///< per-slot sequence numbers
+  std::vector<std::uint64_t> slot_seq_;  ///< per-slot sequence numbers
   std::vector<std::uint32_t> free_slots_;
-  TimeIndex times_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_size_ = 0;

@@ -32,8 +32,8 @@ void Engine::run_until(SimTime deadline) {
     ++batches_;
     // Same-timestamp fast path: drain the whole batch with one combined
     // check-and-pop per event instead of an empty/next_time/pop triple.
-    // (time, seq) determinism is preserved: the heap yields equal-time
-    // entries in ascending seq order, and anything scheduled at `batch`
+    // (time, seq) determinism is preserved: the calendar yields equal-time
+    // events in ascending seq order, and anything scheduled at `batch`
     // from inside a handler gets a larger seq, so it drains after the
     // events already pending — exactly the one-at-a-time order.
     while (calendar_.pop_if_at(batch, fn)) {

@@ -67,8 +67,9 @@ class Engine {
 
   [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  /// Same-timestamp batches drained (outer run-loop iterations) — the
-  /// events_processed/batches ratio is the calendar's chaining win.
+  /// Same-timestamp batches drained (outer run-loop iterations); the
+  /// events_processed/batches ratio is the mean events per timestamp, i.e.
+  /// how many pops each bucket-0 refill of the calendar serves.
   [[nodiscard]] std::uint64_t batches() const { return batches_; }
   [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
 

@@ -69,10 +69,8 @@ TEST(Process, InjectTracedSeparately) {
 
 TEST(Process, NoiseSourceExtendsComputePhases) {
   ProcessFixture f(1);
-  f.procs_[0]->add_noise(
-      std::make_unique<noise::UniformNoise>(microseconds(100.0),
-                                            microseconds(100.0)),
-      Rng(1));
+  const noise::UniformNoise noise(microseconds(100.0), microseconds(100.0));
+  f.procs_[0]->add_noise(&noise, Rng(1));
   Program p;
   p.mark(0).compute(milliseconds(1.0), true).compute(milliseconds(1.0), true);
   f.run({std::move(p)});
@@ -83,10 +81,8 @@ TEST(Process, NoiseSourceExtendsComputePhases) {
 
 TEST(Process, NonNoisyComputeIgnoresNoise) {
   ProcessFixture f(1);
-  f.procs_[0]->add_noise(
-      std::make_unique<noise::UniformNoise>(microseconds(100.0),
-                                            microseconds(100.0)),
-      Rng(1));
+  const noise::UniformNoise noise(microseconds(100.0), microseconds(100.0));
+  f.procs_[0]->add_noise(&noise, Rng(1));
   Program p;
   p.compute(milliseconds(1.0), false);
   f.run({std::move(p)});

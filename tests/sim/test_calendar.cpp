@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -64,9 +68,9 @@ TEST(Calendar, SequenceNumbersIncrease) {
   EXPECT_LT(s1, s2);
 }
 
-// Regression for the (time, seq) contract under the slab-heap + same-time
-// chaining rework: same-time events scheduled NON-consecutively (other
-// timestamps in between) must still interleave purely by (time, seq).
+// Regression for the (time, seq) contract: same-time events scheduled
+// NON-consecutively (other timestamps in between) must still interleave
+// purely by (time, seq).
 TEST(Calendar, TieBreakSurvivesInterleavedScheduling) {
   Calendar cal;
   std::vector<int> order;
@@ -80,8 +84,8 @@ TEST(Calendar, TieBreakSurvivesInterleavedScheduling) {
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 10, 11}));
 }
 
-// Events appended to a same-time chain while it is being drained must fire
-// after the already-pending events of that timestamp (larger seq).
+// Events scheduled at the timestamp being drained must fire after the
+// already-pending events of that timestamp (larger seq).
 TEST(Calendar, SameTimeScheduleDuringDrain) {
   Calendar cal;
   std::vector<int> order;
@@ -148,8 +152,8 @@ TEST(Calendar, PeakSizeCountsChainedEvents) {
   EXPECT_EQ(cal.size(), 0u);
 }
 
-// Stress the chain/heap interaction deterministically: a pseudo-random mix
-// of duplicate and unique timestamps must drain in exact (time, seq) order.
+// Stress equal-time runs deterministically: a pseudo-random mix of
+// duplicate and unique timestamps must drain in exact (time, seq) order.
 TEST(Calendar, RandomizedMixDrainsInTimeSeqOrder) {
   Calendar cal;
   std::uint64_t rng = 0xC0FFEE123456789ull;
@@ -182,12 +186,15 @@ TEST(Calendar, RandomizedMixDrainsInTimeSeqOrder) {
   }
 }
 
-// Drive the slab/heap/time-index machinery through heavy churn with the
-// structural audit engaged at every step. audit() is a no-op in plain
-// Release, so this test is cheap there and exhaustive in Debug/
-// IDLEWAVE_AUDIT/sanitizer builds: free-list integrity, heap order, chain
-// ordering, and the live-count reconciliation all hold at every
-// intermediate state, including across reset() and slab reuse.
+// Drive the slab/bucket machinery through heavy churn with the structural
+// audit engaged at every step. audit() is a no-op in plain Release, so
+// there the test leans on the reference order check: every pop must be the
+// (time, seq) minimum of a std::set mirror. In Debug/IDLEWAVE_AUDIT/
+// sanitizer builds the audit also proves free-list integrity, bucket
+// placement, per-bucket seq order and the live-count reconciliation at every
+// intermediate state, including across reset() and slab reuse. Times are
+// drawn from a narrow window regardless of what already fired, so many
+// schedules land before the base and exercise the re-bucketing path too.
 TEST(Calendar, AuditHoldsThroughChurnAndReset) {
   Calendar cal;
   std::uint64_t rng = 0x1D1EAF0000C0DEull;
@@ -197,26 +204,91 @@ TEST(Calendar, AuditHoldsThroughChurnAndReset) {
     rng ^= rng << 17;
     return rng;
   };
+  std::set<std::pair<std::int64_t, std::uint64_t>> pending;
+  auto pop_checked = [&] {
+    const Event ev = cal.pop();
+    ASSERT_FALSE(pending.empty());
+    EXPECT_EQ(std::make_pair(ev.when.ns(), ev.seq), *pending.begin());
+    pending.erase(pending.begin());
+  };
   for (int round = 0; round < 3; ++round) {
-    // Interleave schedules (with many duplicate timestamps, so chains form)
-    // and pops (so slots recycle LIFO while chains are live).
+    // Interleave schedules (with many duplicate timestamps, so equal-time
+    // runs form) and pops (so slots recycle LIFO while buckets are live).
     for (int i = 0; i < 600; ++i) {
-      cal.schedule(SimTime{static_cast<std::int64_t>(next() % 32)}, [] {});
+      const auto when = static_cast<std::int64_t>(next() % 32);
+      pending.emplace(when, cal.schedule(SimTime{when}, [] {}));
       if (i % 3 == 2) {
-        (void)cal.pop();
-        (void)cal.pop();
+        pop_checked();
+        pop_checked();
       }
       cal.audit();
     }
     while (!cal.empty()) {
-      (void)cal.pop();
+      pop_checked();
       cal.audit();
     }
+    EXPECT_TRUE(pending.empty());
     cal.reset();  // runs its own IW_AUDIT(audit()) and must leave pristine
     cal.audit();
     EXPECT_EQ(cal.size(), 0u);
     EXPECT_EQ(cal.peak_size(), 0u);
   }
+}
+
+// Seeded differential test against a std::priority_queue of (time, seq).
+// Gaps span every bucket level (0 to 2^62), equal-time bursts land both in
+// the future and at the time being drained (bucket 0), and a peek followed
+// by a schedule before the peeked time mimics an engine that stopped at a
+// run_until() deadline.
+TEST(Calendar, MatchesReferenceQueueAcrossEveryBucketLevel) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+  Calendar cal;
+  std::uint64_t rng = 0x5EED0FCA1E4DA2ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::int64_t now = 0;
+  auto schedule = [&](std::int64_t when, int count) {
+    for (int i = 0; i < count; ++i)
+      ref.emplace(when, cal.schedule(SimTime{when}, [] {}));
+  };
+  auto gap = [&] {
+    const auto level = static_cast<unsigned>(next() % 63);
+    const std::int64_t g =
+        level == 0 ? 0 : static_cast<std::int64_t>(next() >> (64 - level));
+    return std::min(g, std::numeric_limits<std::int64_t>::max() - now);
+  };
+  std::uint64_t pops = 0;
+  auto pop_matches = [&] {
+    const Event ev = cal.pop();
+    const bool match = std::make_pair(ev.when.ns(), ev.seq) == ref.top();
+    ref.pop();
+    now = ev.when.ns();
+    ++pops;
+    // A burst at the time being drained queues behind bucket 0.
+    if (next() % 4 == 0) schedule(now, 1 + static_cast<int>(next() % 6));
+    return match;
+  };
+  for (int round = 0; round < 5000; ++round) {
+    schedule(now + gap(), next() % 5 == 0 ? 1 + static_cast<int>(next() % 8) : 1);
+    if (next() % 8 == 0) {
+      const std::int64_t front = cal.next_time().ns();
+      if (front > now) schedule(now + (front - now) / 2, 1);
+    }
+    if (round % 2 == 1) {
+      ASSERT_TRUE(pop_matches()) << "pop " << pops;
+      ASSERT_TRUE(pop_matches()) << "pop " << pops;
+    }
+    ASSERT_EQ(cal.size(), ref.size());
+    if (round % 512 == 0) cal.audit();
+  }
+  while (!ref.empty()) ASSERT_TRUE(pop_matches()) << "pop " << pops;
+  EXPECT_TRUE(cal.empty());
+  EXPECT_GT(pops, 10000u);
 }
 
 }  // namespace

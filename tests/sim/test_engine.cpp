@@ -59,6 +59,24 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
+// run_until() can stop after peeking at the next pending time, which moves
+// the calendar's front past now(). An event scheduled between now() and
+// that pending time (or at now() itself) must still fire first.
+TEST(Engine, RunUntilThenEarlierScheduleFiresFirst) {
+  Engine eng;
+  std::vector<int> order;
+  eng.at(SimTime{10}, [&] { order.push_back(10); });
+  eng.at(SimTime{1000}, [&] { order.push_back(1000); });
+  eng.at(SimTime{1000}, [&] { order.push_back(1001); });
+  eng.run_until(SimTime{500});
+  EXPECT_EQ(eng.now(), SimTime{10});
+  eng.at(SimTime{600}, [&] { order.push_back(600); });
+  eng.at(SimTime{10}, [&] { order.push_back(11); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 600, 1000, 1001}));
+  EXPECT_EQ(eng.now(), SimTime{1000});
+}
+
 TEST(Engine, StopExitsLoop) {
   Engine eng;
   int fired = 0;
@@ -106,7 +124,7 @@ TEST(Engine, StopMidBatchKeepsRemainingEvents) {
 TEST(Engine, PeakPendingTracksCalendarPopulation) {
   Engine eng;
   for (int i = 0; i < 7; ++i) eng.at(SimTime{10 + i}, [] {});
-  for (int i = 0; i < 3; ++i) eng.at(SimTime{10}, [] {});  // same-time chain
+  for (int i = 0; i < 3; ++i) eng.at(SimTime{10}, [] {});  // same-time burst
   EXPECT_EQ(eng.peak_events_pending(), 10u);
   eng.run();
   EXPECT_EQ(eng.peak_events_pending(), 10u);
